@@ -6,16 +6,20 @@ The mode subproblem is split into ``B`` row blocks
 ``s.t. H_b = H_tilde_b  for every block``
 
 which is exact whenever the prox is row separable.  Each block then runs
-Algorithm 1 **to its own convergence**:
+Algorithm 1 **to its own convergence**: high-signal blocks take the extra
+iterations they need instead of being stopped by the aggregate criterion,
+and low-signal blocks stop early instead of being dragged along
+(non-uniform convergence).
 
-* high-signal blocks take the extra iterations they need instead of being
-  stopped by the aggregate criterion, and low-signal blocks stop early
-  instead of being dragged along (non-uniform convergence);
-* a block's primal/dual/aux working set is ~``3 * block_rows * F`` doubles
-  — cache resident for the paper's default of 50 rows — so the repeated
-  linear passes hit cache instead of DRAM (memory bandwidth);
-* blocks share nothing, so the only parallel coordination is the dynamic
-  claiming of block indices (synchronization elimination).
+The blocks run in lockstep.  The unconverged blocks of a group are stacked
+into one ``(n_active, block_rows, F)`` array, so an inner iteration is one
+triangular solve, one prox and one residual pass over all of them rather
+than one small call per block.  A block that passes both residual tests
+is written back to the state and dropped from the stack.  Every step is
+row-wise and every residual sums one block's entries in the order a
+single-block solve would, so the result is bitwise equal to solving the
+blocks one after another.  Long modes run as several groups of
+:data:`GROUP_BLOCKS` blocks, which bounds the stacked temporaries.
 
 The Cholesky factor of ``G + rho I`` is mode-global (every block shares G
 and hence rho), computed once and reused by all blocks.
@@ -32,11 +36,14 @@ from ..constraints.base import Constraint
 from ..linalg.cholesky import CholeskyFactor
 from ..observability import span
 from ..parallel.partition import row_blocks
-from ..parallel.threadpool import parallel_for
 from ..validation import require
 from .residuals import relative_residuals
 from .rho import RhoPolicy, TraceRho
 from .state import AdmmState
+
+#: Blocks stacked into one lockstep group.  Caps each stacked temporary
+#: at ``GROUP_BLOCKS * block_rows * F`` doubles however long the mode is.
+GROUP_BLOCKS = 256
 
 
 @dataclass(frozen=True)
@@ -52,6 +59,9 @@ class BlockedAdmmReport:
     #: Diagonal jitter the mode-global Cholesky needed (shared by every
     #: block; 0.0 unless the Gram was rank deficient / indefinite).
     jitter_added: float = 0.0
+    #: Blocks that stopped at ``max_iterations`` without passing both
+    #: residual tests.
+    capped_blocks: int = 0
 
     @property
     def iterations(self) -> int:
@@ -65,29 +75,65 @@ class BlockedAdmmReport:
                        zip(self.block_rows, self.block_iterations)))
 
 
-def _solve_block(block: slice, primal: np.ndarray, dual: np.ndarray,
-                 mttkrp: np.ndarray, chol: CholeskyFactor, rho: float,
-                 constraint: Constraint, tolerance: float,
-                 max_iterations: int) -> tuple[slice, np.ndarray, np.ndarray,
-                                               int, bool]:
-    """Algorithm 1 restricted to one row block; returns the updated rows."""
-    h = primal[block].copy()
-    u = dual[block].copy()
-    k = mttkrp[block]
-    iterations = 0
-    converged = False
-    with span("admm.block", rows=block.stop - block.start):
-        while iterations < max_iterations:
-            iterations += 1
-            aux = chol.solve_t(k + rho * (h + u))
-            h_prev = h
-            h = constraint.prox(aux - u, 1.0 / rho)
-            u = u + h - aux
-            r, s = relative_residuals(h, aux, h_prev, u)
-            if r < tolerance and s < tolerance:
-                converged = True
-                break
-    return block, h, u, iterations, converged
+def _groups(blocks: list[slice]) -> list[range]:
+    """Block indices of every lockstep group, each of equal-sized blocks.
+
+    The full blocks run in groups of :data:`GROUP_BLOCKS`; a short tail
+    block runs as a group of its own.
+    """
+    if not blocks:
+        return []
+    size = blocks[0].stop - blocks[0].start
+    n_full = len(blocks)
+    if blocks[-1].stop - blocks[-1].start != size:
+        n_full -= 1
+    groups = [range(first, min(first + GROUP_BLOCKS, n_full))
+              for first in range(0, n_full, GROUP_BLOCKS)]
+    if n_full < len(blocks):
+        groups.append(range(n_full, len(blocks)))
+    return groups
+
+
+def _write_back(state: AdmmState, blocks: list[slice], done: np.ndarray,
+                h: np.ndarray, u: np.ndarray) -> None:
+    for index, h_block, u_block in zip(done.tolist(), h, u):
+        state.primal[blocks[index]] = h_block
+        state.dual[blocks[index]] = u_block
+
+
+def _lockstep(state: AdmmState, mttkrp: np.ndarray, blocks: list[slice],
+              group: range, chol: CholeskyFactor, rho: float,
+              constraint: Constraint, tolerance: float, max_iterations: int,
+              iterations: np.ndarray, converged: np.ndarray) -> None:
+    """Algorithm 1 on every block of *group* at once, each to its own stop."""
+    rows = blocks[group.start]
+    shape = (len(group), rows.stop - rows.start, state.rank)
+    start, stop = rows.start, blocks[group.stop - 1].stop
+    h = state.primal[start:stop].copy().reshape(shape)
+    u = state.dual[start:stop].copy().reshape(shape)
+    k = mttkrp[start:stop].reshape(shape)
+    active = np.arange(group.start, group.stop)
+    iteration = 0
+    while active.size and iteration < max_iterations:
+        iteration += 1
+        stacked = (h.shape[0] * h.shape[1], h.shape[2])
+        aux = chol.solve_t((k + rho * (h + u)).reshape(stacked))
+        aux = aux.reshape(h.shape)
+        h_prev = h
+        h = constraint.prox((aux - u).reshape(stacked), 1.0 / rho)
+        h = h.reshape(aux.shape)
+        u = u + h - aux
+        r, s = relative_residuals(h, aux, h_prev, u)
+        passed = (r < tolerance) & (s < tolerance)
+        if passed.any():
+            done = active[passed]
+            _write_back(state, blocks, done, h[passed], u[passed])
+            iterations[done] = iteration
+            converged[done] = True
+            keep = ~passed
+            active, h, u, k = active[keep], h[keep], u[keep], k[keep]
+    _write_back(state, blocks, active, h, u)
+    iterations[active] = iteration
 
 
 def blocked_admm_update(state: AdmmState, mttkrp: np.ndarray,
@@ -95,8 +141,8 @@ def blocked_admm_update(state: AdmmState, mttkrp: np.ndarray,
                         rho_policy: RhoPolicy | None = None,
                         tolerance: float = ADMM_TOLERANCE,
                         max_iterations: int = MAX_ADMM_ITERATIONS,
-                        block_size: int = DEFAULT_BLOCK_SIZE,
-                        threads: int | None = 1) -> BlockedAdmmReport:
+                        block_size: int = DEFAULT_BLOCK_SIZE
+                        ) -> BlockedAdmmReport:
     """Run blockwise ADMM, updating *state* in place.
 
     Parameters mirror :func:`repro.admm.solver.admm_update` plus:
@@ -104,9 +150,6 @@ def blocked_admm_update(state: AdmmState, mttkrp: np.ndarray,
     block_size:
         Rows per block; the paper's default is 50.  ``block_size >= rows``
         degenerates to the unblocked algorithm (one block).
-    threads:
-        Thread count for the real pool (``None`` = auto).  Results are
-        bit-identical for any thread count — blocks are independent.
     """
     require(constraint.row_separable,
             f"constraint {constraint.name!r} is not row separable; "
@@ -120,23 +163,18 @@ def blocked_admm_update(state: AdmmState, mttkrp: np.ndarray,
     chol = CholeskyFactor(gram + rho * np.eye(rank))
     blocks = row_blocks(state.rows, block_size)
 
-    primal, dual = state.primal, state.dual
-    results = parallel_for(
-        lambda blk: _solve_block(blk, primal, dual, mttkrp, chol, rho,
-                                 constraint, tolerance, max_iterations),
-        blocks, threads=threads)
+    iterations = np.zeros(len(blocks), dtype=np.int64)
+    converged = np.zeros(len(blocks), dtype=bool)
+    with span("admm.blocked"):
+        for group in _groups(blocks):
+            _lockstep(state, mttkrp, blocks, group, chol, rho, constraint,
+                      tolerance, max_iterations, iterations, converged)
 
-    iterations: list[int] = []
-    rows: list[int] = []
-    all_converged = True
-    for block, h, u, iters, conv in results:
-        primal[block] = h
-        dual[block] = u
-        iterations.append(iters)
-        rows.append(block.stop - block.start)
-        all_converged &= conv
-
-    return BlockedAdmmReport(block_iterations=tuple(iterations),
-                             block_rows=tuple(rows), rho=rho,
-                             converged=all_converged,
-                             jitter_added=chol.jitter_added)
+    n_converged = int(converged.sum())
+    return BlockedAdmmReport(block_iterations=tuple(iterations.tolist()),
+                             block_rows=tuple(b.stop - b.start
+                                              for b in blocks),
+                             rho=rho,
+                             converged=n_converged == len(blocks),
+                             jitter_added=chol.jitter_added,
+                             capped_blocks=len(blocks) - n_converged)

@@ -11,6 +11,11 @@ def _sqnorm(matrix: np.ndarray) -> float:
     return float(np.einsum("ij,ij->", matrix, matrix))
 
 
+def _block_sqnorms(blocks: np.ndarray) -> np.ndarray:
+    flat = blocks.reshape(blocks.shape[0], -1)
+    return np.einsum("ij,ij->i", flat, flat)
+
+
 def relative_residuals(primal: np.ndarray, aux: np.ndarray,
                        primal_prev: np.ndarray,
                        dual: np.ndarray) -> tuple[float, float]:
@@ -24,7 +29,18 @@ def relative_residuals(primal: np.ndarray, aux: np.ndarray,
     Denominators are floored so the first iterations (H or U all zero)
     never divide by zero; in that regime the residuals are intentionally
     huge and the loop continues.
+
+    Operands of shape ``(n_blocks, block_rows, F)`` are stacked row
+    blocks: ``r`` and ``s`` are then length-``n_blocks`` arrays holding
+    each block's own residuals, bitwise equal to calling this function on
+    every block separately.
     """
+    if primal.ndim == 3:
+        r = (_block_sqnorms(primal - aux)
+             / np.maximum(_block_sqnorms(primal), _TINY))
+        s = (_block_sqnorms(primal - primal_prev)
+             / np.maximum(_block_sqnorms(dual), _TINY))
+        return r, s
     r = _sqnorm(primal - aux) / max(_sqnorm(primal), _TINY)
     s = _sqnorm(primal - primal_prev) / max(_sqnorm(dual), _TINY)
     return r, s

@@ -30,7 +30,7 @@ Each kernel has two execution paths:
   output rows directly; leaf/internal slabs write their per-node products
   into disjoint ranges of one shared buffer which a single deterministic
   scatter then reduces — so results are **bit-identical** for any slab
-  count and any thread count, like blocked ADMM.
+  count and any thread count.
 """
 
 from __future__ import annotations

@@ -212,7 +212,8 @@ def record_admm_report(report, mode: int, blocked: bool) -> None:
 
     Blocked reports contribute one histogram observation *per block* —
     the per-block inner-iteration distribution is the paper's
-    non-uniform-convergence evidence (Section III-B / IV-B).
+    non-uniform-convergence evidence (Section III-B / IV-B) — and count
+    the blocks that stopped at the iteration cap without converging.
     """
     if not is_enabled():
         return
@@ -224,6 +225,8 @@ def record_admm_report(report, mode: int, blocked: bool) -> None:
         for iters in block_iters:
             hist.observe(iters)
         reg.counter("admm_block_solves", mode=mode).inc(len(block_iters))
+        reg.counter("admm_capped_blocks",
+                    mode=mode).inc(report.capped_blocks)
     else:
         hist.observe(report.iterations)
     reg.counter("admm_updates", mode=mode).inc()

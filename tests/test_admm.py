@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+import repro
+import repro.admm.blocked as blocked_module
 from repro.admm import (
     AdmmState,
+    BlockedAdmmReport,
     FixedRho,
     NormalizedTraceRho,
     TraceRho,
@@ -14,8 +17,16 @@ from repro.admm import (
     make_rho_policy,
     relative_residuals,
 )
-from repro.constraints import L1, NonNegative, Unconstrained
+from repro.config import (
+    ADMM_TOLERANCE,
+    DEFAULT_BLOCK_SIZE,
+    MAX_ADMM_ITERATIONS,
+)
+from repro.constraints import L1, NonNegative, Unconstrained, make_constraint
 from repro.constraints.base import Constraint
+from repro.linalg.cholesky import CholeskyFactor
+from repro.parallel.partition import row_blocks
+from repro.testing import make_case
 
 
 def make_problem(rng, rows=40, rank=5, cols=30):
@@ -158,16 +169,6 @@ class TestBlockedAdmm:
         assert len(report.block_iterations) == 10
         assert len(set(report.block_iterations)) > 1
 
-    def test_thread_count_does_not_change_result(self, rng):
-        mttkrp, gram, _, _ = make_problem(rng, rows=50)
-        results = []
-        for threads in (1, 4):
-            state = AdmmState.from_factor(np.zeros_like(mttkrp))
-            blocked_admm_update(state, mttkrp, gram, NonNegative(),
-                                block_size=7, threads=threads)
-            results.append(state.primal.copy())
-        np.testing.assert_array_equal(results[0], results[1])
-
     def test_rejects_non_row_separable(self, rng):
         class ColumnCoupled(Constraint):
             row_separable = False
@@ -194,6 +195,171 @@ class TestBlockedAdmm:
             r * i for r, i in zip(report.block_rows,
                                   report.block_iterations))
         assert report.iterations == max(report.block_iterations)
+
+
+# ---------------------------------------------------------------------------
+# Per-block reference: the blocked solver as one Algorithm 1 run per block
+# ---------------------------------------------------------------------------
+
+def _solve_block(block, primal, dual, mttkrp, chol, rho, constraint,
+                 tolerance, max_iterations):
+    """Algorithm 1 restricted to one row block; returns the updated rows."""
+    h = primal[block].copy()
+    u = dual[block].copy()
+    k = mttkrp[block]
+    iterations = 0
+    converged = False
+    while iterations < max_iterations:
+        iterations += 1
+        aux = chol.solve_t(k + rho * (h + u))
+        h_prev = h
+        h = constraint.prox(aux - u, 1.0 / rho)
+        u = u + h - aux
+        r, s = relative_residuals(h, aux, h_prev, u)
+        if r < tolerance and s < tolerance:
+            converged = True
+            break
+    return block, h, u, iterations, converged
+
+
+def per_block_admm_update(state, mttkrp, gram, constraint, rho_policy=None,
+                          tolerance=ADMM_TOLERANCE,
+                          max_iterations=MAX_ADMM_ITERATIONS,
+                          block_size=DEFAULT_BLOCK_SIZE):
+    """Blocked ADMM as a loop of independent per-block solves (the oracle)."""
+    rho = (rho_policy or TraceRho()).rho(gram)
+    chol = CholeskyFactor(gram + rho * np.eye(state.rank))
+    results = [_solve_block(block, state.primal, state.dual, mttkrp, chol,
+                            rho, constraint, tolerance, max_iterations)
+               for block in row_blocks(state.rows, block_size)]
+    for block, h, u, _, _ in results:
+        state.primal[block] = h
+        state.dual[block] = u
+    flags = [conv for *_, conv in results]
+    return BlockedAdmmReport(
+        block_iterations=tuple(iters for *_, iters, _ in results),
+        block_rows=tuple(block.stop - block.start for block, *_ in results),
+        rho=rho, converged=all(flags), jitter_added=chol.jitter_added,
+        capped_blocks=flags.count(False))
+
+
+ORACLE_CONSTRAINTS = {
+    "nonneg": {},
+    "nonneg_l1": {"weight": 0.1},
+    "l1": {"weight": 0.1},
+    "box": {"lower": -0.5, "upper": 0.5},
+    "norm_ball": {"radius": 0.5},
+    "simplex": {},
+}
+
+
+def _fixed_point_rows(constraint, gram, rows):
+    """Rows whose ADMM iterate is already a fixed point: they pass at 1.
+
+    ``h = prox(z)`` and ``u = h - z`` give ``prox(h - u) = h``, and
+    ``k = h G - rho u`` makes the solve return ``h`` up to rounding.
+    """
+    rank = gram.shape[0]
+    sign = np.r_[1.0, -np.ones(rank - 1)]
+    z = (3.0 + 0.1 * np.arange(rows))[:, None] * sign
+    rho = TraceRho().rho(gram)
+    h = constraint.prox(z.copy(), 1.0 / rho)
+    u = h - z
+    return h, u, h @ gram - rho * u
+
+
+def _oracle_case(case, constraint, rng):
+    """``(state, mttkrp, gram, solver kwargs)`` of one named case."""
+    rows = {"tail": 23, "one-block": 12, "unit-blocks": 9, "empty": 0,
+            "warm-dual": 30, "mixed-stops": 40}[case]
+    mttkrp, gram, _, _ = make_problem(rng, rows=rows)
+    state = AdmmState.from_factor(np.zeros_like(mttkrp))
+    kwargs = {"tail": dict(block_size=5),
+              "one-block": dict(block_size=50),
+              "unit-blocks": dict(block_size=1),
+              "empty": dict(block_size=5),
+              "warm-dual": dict(block_size=7),
+              "mixed-stops": dict(block_size=5, tolerance=1e-8,
+                                  max_iterations=6)}[case]
+    if case == "warm-dual":
+        state = AdmmState(np.abs(rng.standard_normal(mttkrp.shape)),
+                          0.5 * rng.standard_normal(mttkrp.shape))
+    if case == "mixed-stops":
+        mttkrp *= 50.0
+        for block in (slice(0, 5), slice(15, 20), slice(25, 30)):
+            h, u, k = _fixed_point_rows(constraint, gram, 5)
+            state.primal[block], state.dual[block], mttkrp[block] = h, u, k
+    return state, mttkrp, gram, kwargs
+
+
+class TestLockstepMatchesPerBlockReference:
+    """The lockstep solver is bitwise the per-block loop it replaced."""
+
+    @pytest.mark.parametrize("groups", ["default", "groups-of-2"])
+    @pytest.mark.parametrize("case", ["tail", "one-block", "unit-blocks",
+                                      "empty", "warm-dual", "mixed-stops"])
+    @pytest.mark.parametrize("name", sorted(ORACLE_CONSTRAINTS))
+    def test_bitwise_equal_to_reference(self, monkeypatch, make_rng, name,
+                                        case, groups):
+        if groups == "groups-of-2":
+            monkeypatch.setattr(blocked_module, "GROUP_BLOCKS", 2)
+        constraint = make_constraint(name, **ORACLE_CONSTRAINTS[name])
+        state, mttkrp, gram, kwargs = _oracle_case(case, constraint,
+                                                   make_rng(7))
+        expected_state = state.copy()
+        expected = per_block_admm_update(expected_state, mttkrp, gram,
+                                         constraint, **kwargs)
+        report = blocked_admm_update(state, mttkrp, gram, constraint,
+                                     **kwargs)
+
+        np.testing.assert_array_equal(state.primal, expected_state.primal)
+        np.testing.assert_array_equal(state.dual, expected_state.dual)
+        assert report == expected
+        if case == "mixed-stops":
+            assert 1 in expected.block_iterations
+            assert 6 in expected.block_iterations
+            assert 0 < expected.capped_blocks < len(expected.block_rows)
+
+    @pytest.mark.parametrize("rows", [1, 5, 50, 64])
+    def test_stacked_residuals_bitwise_equal_per_block(self, make_rng, rows):
+        gen = make_rng(3)
+        h, aux, h_prev, u = (gen.standard_normal((9, rows, 16))
+                             for _ in range(4))
+        r, s = relative_residuals(h, aux, h_prev, u)
+        for b in range(9):
+            assert (r[b], s[b]) == relative_residuals(h[b], aux[b],
+                                                      h_prev[b], u[b])
+
+    def test_whole_fit_bitwise_equal_to_reference(self, monkeypatch):
+        case = make_case(41, 6)
+        kwargs = dict(rank=3, constraints="nonneg", seed=7, block_size=2,
+                      max_outer_iterations=4, outer_tolerance=0.0)
+        lockstep = repro.fit(case.tensor, **kwargs)
+        monkeypatch.setattr("repro.core.aoadmm.blocked_admm_update",
+                            per_block_admm_update)
+        reference = repro.fit(case.tensor, **kwargs)
+
+        for got, want in zip(lockstep.model.factors,
+                             reference.model.factors):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(lockstep.trace.errors(),
+                                      reference.trace.errors())
+
+    def test_capped_blocks_counts_blocks_stopped_by_the_cap(self, rng):
+        mttkrp, gram, _, _ = make_problem(rng, rows=40)
+        state = AdmmState.from_factor(np.zeros_like(mttkrp))
+        h, u, k = _fixed_point_rows(NonNegative(), gram, 10)
+        state.primal[:10], state.dual[:10], mttkrp[:10] = h, u, k
+        report = blocked_admm_update(state, mttkrp, gram, NonNegative(),
+                                     block_size=10, tolerance=1e-10,
+                                     max_iterations=3)
+        assert report.block_iterations == (1, 3, 3, 3)
+        assert report.capped_blocks == 3 and not report.converged
+
+        relaxed = blocked_admm_update(AdmmState.from_factor(
+            np.zeros_like(mttkrp)), mttkrp, gram, NonNegative(),
+            block_size=10, max_iterations=400)
+        assert relaxed.converged and relaxed.capped_blocks == 0
 
 
 class TestAdmmState:

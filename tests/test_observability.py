@@ -263,6 +263,22 @@ class TestInstrumentedRun:
         assert any(k.startswith("admm_inner_iterations") for k in hists)
         assert any("span=aoadmm.iteration" in k for k in hists)
 
+    def test_capped_blocks_counter_matches_reports(self):
+        tensor = small_tensor()
+        result = repro.fit(tensor, rank=3, seed=0, max_outer_iterations=3,
+                           block_size=3, max_inner_iterations=2,
+                           track_block_reports=True, observe=True)
+        counters = result.metrics["counters"]
+        records = result.trace.records
+        total = 0
+        for mode in range(tensor.nmodes):
+            capped = sum(r.block_reports[mode].capped_blocks
+                         for r in records)
+            key = render_key("admm_capped_blocks", {"mode": mode})
+            assert counters[key] == capped
+            total += capped
+        assert total > 0
+
     def test_cache_hit_counter(self):
         """Memoized CSF trees report hits instead of dropping stats."""
         tensor = small_tensor()
