@@ -13,16 +13,18 @@ and low-signal blocks stop early instead of being dragged along
 
 The blocks run in lockstep.  The unconverged blocks of a group are stacked
 into one ``(n_active, block_rows, F)`` array, so an inner iteration is one
-triangular solve, one prox and one residual pass over all of them rather
-than one small call per block.  A block that passes both residual tests
-is written back to the state and dropped from the stack.  Every step is
-row-wise and every residual sums one block's entries in the order a
-single-block solve would, so the result is bitwise equal to solving the
-blocks one after another.  Long modes run as several groups of
-:data:`GROUP_BLOCKS` blocks, which bounds the stacked temporaries.
+GEMM against the cached inverse of ``G + rho I`` (line 6), one prox and
+one residual pass over all of them rather than one small call per block.
+A block that passes both residual tests is written back to the state and
+dropped from the stack.  Every step is row-wise and every residual sums
+one block's entries in the order a single-block solve would, so the
+result is bitwise equal to solving the blocks one after another.  Long
+modes run as several groups of :data:`GROUP_BLOCKS` blocks, which bounds
+the stacked temporaries.
 
-The Cholesky factor of ``G + rho I`` is mode-global (every block shares G
-and hence rho), computed once and reused by all blocks.
+The Cholesky factor of ``G + rho I`` and its inverse are mode-global
+(every block shares G and hence rho), computed once and reused by all
+blocks.
 """
 
 from __future__ import annotations

@@ -5,10 +5,13 @@ Solves
 ``min_H  1/2 ||X_(m) - H (KR of others)^T||_F^2 + r(H)``
 
 given the precomputed MTTKRP ``K`` and Gram ``G``.  The Cholesky factor of
-``G + rho I`` is computed once; every inner iteration then costs one
-``O(F^2 I)`` substitution pass (line 6) plus the prox and residuals — all
-linear passes over the tall matrices, which is exactly the memory-bound
-behaviour the blocked variant attacks.
+``G + rho I`` and its inverse are computed once; every inner iteration
+then costs one ``O(F^2 I)`` pass that applies the cached inverse (one
+GEMM, line 6) plus the prox and residuals — all linear passes over the
+tall matrices, which is exactly the memory-bound behaviour the blocked
+variant attacks.  The paper's line 6 is a forward/backward substitution;
+``rho = trace(G)/F`` bounds ``cond(G + rho I) <= F + 1``, so the inverse
+is as accurate (see :mod:`repro.linalg.cholesky`).
 """
 
 from __future__ import annotations
@@ -77,12 +80,12 @@ def admm_update(state: AdmmState, mttkrp: np.ndarray, gram: np.ndarray,
     iterations = 0
     r = s = float("inf")
     converged = False
-    with span("admm.solve", rows=state.rows):
+    with span("admm.solve"):
         while iterations < max_iterations:
             iterations += 1
-            # Line 6: solve (G + rho I) H_tilde^T = (K + rho (H + U))^T.
+            # Line 6: H_tilde = (K + rho (H + U)) (G + rho I)^-1.
             aux = chol.solve_t(mttkrp + rho * (primal + dual))
-            primal_prev = primal.copy()
+            primal_prev = primal
             # Line 8: proximity operator with step 1/rho.
             primal = constraint.prox(aux - dual, 1.0 / rho)
             # Line 9: dual ascent.

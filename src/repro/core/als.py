@@ -72,7 +72,7 @@ def fit_als(tensor: COOTensor,
                     kmat = engine.mttkrp(factors, mode)
 
                 with clock.stage("admm"):
-                    factors[mode] = CholeskyFactor(gram).solve_t(kmat)
+                    factors[mode] = CholeskyFactor(gram).solve(kmat.T).T
 
                 with clock.stage("other"):
                     gram_cache.set_factor(mode, factors[mode])

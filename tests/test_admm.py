@@ -268,11 +268,11 @@ def _fixed_point_rows(constraint, gram, rows):
     return h, u, h @ gram - rho * u
 
 
-def _oracle_case(case, constraint, rng):
+def _oracle_case(case, constraint, rng, rank):
     """``(state, mttkrp, gram, solver kwargs)`` of one named case."""
     rows = {"tail": 23, "one-block": 12, "unit-blocks": 9, "empty": 0,
             "warm-dual": 30, "mixed-stops": 40}[case]
-    mttkrp, gram, _, _ = make_problem(rng, rows=rows)
+    mttkrp, gram, _, _ = make_problem(rng, rows=rows, rank=rank)
     state = AdmmState.from_factor(np.zeros_like(mttkrp))
     kwargs = {"tail": dict(block_size=5),
               "one-block": dict(block_size=50),
@@ -295,17 +295,20 @@ def _oracle_case(case, constraint, rng):
 class TestLockstepMatchesPerBlockReference:
     """The lockstep solver is bitwise the per-block loop it replaced."""
 
+    # Rank 50 reaches the BLAS kernels that sum short operands in
+    # another order; rank 5 alone does not.
+    @pytest.mark.parametrize("rank", [5, 50])
     @pytest.mark.parametrize("groups", ["default", "groups-of-2"])
     @pytest.mark.parametrize("case", ["tail", "one-block", "unit-blocks",
                                       "empty", "warm-dual", "mixed-stops"])
     @pytest.mark.parametrize("name", sorted(ORACLE_CONSTRAINTS))
     def test_bitwise_equal_to_reference(self, monkeypatch, make_rng, name,
-                                        case, groups):
+                                        case, groups, rank):
         if groups == "groups-of-2":
             monkeypatch.setattr(blocked_module, "GROUP_BLOCKS", 2)
         constraint = make_constraint(name, **ORACLE_CONSTRAINTS[name])
         state, mttkrp, gram, kwargs = _oracle_case(case, constraint,
-                                                   make_rng(7))
+                                                   make_rng(7), rank)
         expected_state = state.copy()
         expected = per_block_admm_update(expected_state, mttkrp, gram,
                                          constraint, **kwargs)

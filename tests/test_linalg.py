@@ -110,6 +110,55 @@ class TestCholesky:
             CholeskyFactor(spd).solve_t(rows),
             np.linalg.solve(spd, rows.T).T, atol=1e-9)
 
+    @pytest.mark.parametrize("rank", [1, 5, 16, 32, 50, 64, 100])
+    def test_solve_t_rows_independent_of_call_size(self, make_rng, rank):
+        """Row i of solve_t(X) depends only on X[i], bit for bit, however
+        many rows share the call (short calls take other BLAS kernels)."""
+        gen = make_rng(rank)
+        a = gen.standard_normal((rank, rank))
+        gram = a @ a.T
+        chol = CholeskyFactor(gram + np.trace(gram) / rank * np.eye(rank))
+        rows = gen.standard_normal((14000, rank))
+        whole = chol.solve_t(rows)
+        for offset in (0, 1, 777):
+            for n in range(601):
+                np.testing.assert_array_equal(
+                    chol.solve_t(rows[offset:offset + n]),
+                    whole[offset:offset + n])
+        np.testing.assert_array_equal(chol.solve_t(rows[1000:13800]),
+                                      whole[1000:13800])
+
+    @pytest.mark.parametrize("kappa", [None, 1e8])
+    def test_solve_t_accuracy(self, rng, kappa):
+        """The cached-inverse GEMM is as accurate as an LU solve both for
+        a trace-rho matrix and for an ill-conditioned fixed-rho one."""
+        rank = 16
+        if kappa is None:
+            w = rng.standard_normal((30, rank))
+            gram = w.T @ w
+            matrix = gram + np.trace(gram) / rank * np.eye(rank)
+            bound = 1e-14
+        else:
+            q, _ = np.linalg.qr(rng.standard_normal((rank, rank)))
+            gram = (q * np.logspace(0, -np.log10(kappa), rank)) @ q.T
+            matrix = (gram + gram.T) / 2
+            bound = kappa * np.finfo(float).eps
+        rhs = rng.standard_normal((300, rank))
+        want = np.linalg.solve(matrix, rhs.T).T
+        got = CholeskyFactor(matrix).solve_t(rhs)
+        assert np.linalg.norm(got - want) <= bound * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("matrix", [np.ones((3, 3)),
+                                        np.diag([1.0, -0.5])],
+                             ids=["singular", "indefinite"])
+    def test_solve_t_uses_the_jittered_factor(self, rng, matrix):
+        chol = CholeskyFactor(matrix)
+        assert chol.jitter_added > 0.0
+        rhs = rng.standard_normal((20, matrix.shape[0]))
+        want = chol.solve(rhs.T).T
+        np.testing.assert_allclose(chol.solve_t(rhs), want,
+                                   rtol=1e-12, atol=1e-12 * abs(want).max())
+
     def test_jitter_repairs_singular(self):
         singular = np.ones((3, 3))  # rank 1, PSD
         chol = CholeskyFactor(singular)
