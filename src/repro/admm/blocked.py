@@ -14,13 +14,16 @@ and low-signal blocks stop early instead of being dragged along
 The blocks run in lockstep.  The unconverged blocks of a group are stacked
 into one ``(n_active, block_rows, F)`` array, so an inner iteration is one
 GEMM against the cached inverse of ``G + rho I`` (line 6), one prox and
-one residual pass over all of them rather than one small call per block.
-A block that passes both residual tests is written back to the state and
-dropped from the stack.  Every step is row-wise and every residual sums
-one block's entries in the order a single-block solve would, so the
-result is bitwise equal to solving the blocks one after another.  Long
-modes run as several groups of :data:`GROUP_BLOCKS` blocks, which bounds
-the stacked temporaries.
+one residual pass over all of them rather than one small call per block;
+lines 6-9 are :func:`repro.admm.step.admm_step`, the step the base solver
+runs on its row tiles.  A block that passes both residual tests is
+written back to the state and dropped from the stack.  Every step is
+row-wise and every residual sums one block's entries in the order a
+single-block solve would, so the result is bitwise equal to solving the
+blocks one after another.  A group holds as many blocks as fit in
+:func:`repro.admm.step.tile_rows` rows (at least one), so a group's
+stacked operands stay in L2 from one line to the next whatever the mode
+length.
 
 The Cholesky factor of ``G + rho I`` and its inverse are mode-global
 (every block shares G and hence rho), computed once and reused by all
@@ -42,10 +45,7 @@ from ..validation import require
 from .residuals import relative_residuals
 from .rho import RhoPolicy, TraceRho
 from .state import AdmmState
-
-#: Blocks stacked into one lockstep group.  Caps each stacked temporary
-#: at ``GROUP_BLOCKS * block_rows * F`` doubles however long the mode is.
-GROUP_BLOCKS = 256
+from .step import admm_step, tile_rows
 
 
 @dataclass(frozen=True)
@@ -77,20 +77,21 @@ class BlockedAdmmReport:
                        zip(self.block_rows, self.block_iterations)))
 
 
-def _groups(blocks: list[slice]) -> list[range]:
+def _groups(blocks: list[slice], rank: int) -> list[range]:
     """Block indices of every lockstep group, each of equal-sized blocks.
 
-    The full blocks run in groups of :data:`GROUP_BLOCKS`; a short tail
-    block runs as a group of its own.
+    The full blocks run in groups of ``tile_rows(rank) // block_rows``
+    blocks (at least one); a short tail block runs as a group of its own.
     """
     if not blocks:
         return []
     size = blocks[0].stop - blocks[0].start
+    per_group = max(1, tile_rows(rank) // size)
     n_full = len(blocks)
     if blocks[-1].stop - blocks[-1].start != size:
         n_full -= 1
-    groups = [range(first, min(first + GROUP_BLOCKS, n_full))
-              for first in range(0, n_full, GROUP_BLOCKS)]
+    groups = [range(first, min(first + per_group, n_full))
+              for first in range(0, n_full, per_group)]
     if n_full < len(blocks):
         groups.append(range(n_full, len(blocks)))
     return groups
@@ -107,24 +108,26 @@ def _lockstep(state: AdmmState, mttkrp: np.ndarray, blocks: list[slice],
               group: range, chol: CholeskyFactor, rho: float,
               constraint: Constraint, tolerance: float, max_iterations: int,
               iterations: np.ndarray, converged: np.ndarray) -> None:
-    """Algorithm 1 on every block of *group* at once, each to its own stop."""
+    """Algorithm 1 on every block of *group* at once, each to its own stop.
+
+    The new primal of the active blocks goes to a prefix of one of two
+    buffers, never the one holding the previous primal.
+    """
     rows = blocks[group.start]
     shape = (len(group), rows.stop - rows.start, state.rank)
     start, stop = rows.start, blocks[group.stop - 1].stop
-    h = state.primal[start:stop].copy().reshape(shape)
-    u = state.dual[start:stop].copy().reshape(shape)
+    buffers = (np.empty(shape), np.empty(shape))
+    work = np.empty(shape)
+    h = state.primal[start:stop].reshape(shape)
+    u = state.dual[start:stop].reshape(shape).copy()
     k = mttkrp[start:stop].reshape(shape)
     active = np.arange(group.start, group.stop)
     iteration = 0
     while active.size and iteration < max_iterations:
         iteration += 1
-        stacked = (h.shape[0] * h.shape[1], h.shape[2])
-        aux = chol.solve_t((k + rho * (h + u)).reshape(stacked))
-        aux = aux.reshape(h.shape)
-        h_prev = h
-        h = constraint.prox((aux - u).reshape(stacked), 1.0 / rho)
-        h = h.reshape(aux.shape)
-        u = u + h - aux
+        n = active.size
+        h_prev, h = h, buffers[iteration % 2][:n]
+        aux = admm_step(chol, constraint, rho, k, h_prev, u, work[:n], h)
         r, s = relative_residuals(h, aux, h_prev, u)
         passed = (r < tolerance) & (s < tolerance)
         if passed.any():
@@ -168,7 +171,7 @@ def blocked_admm_update(state: AdmmState, mttkrp: np.ndarray,
     iterations = np.zeros(len(blocks), dtype=np.int64)
     converged = np.zeros(len(blocks), dtype=bool)
     with span("admm.blocked"):
-        for group in _groups(blocks):
+        for group in _groups(blocks, rank):
             _lockstep(state, mttkrp, blocks, group, chol, rho, constraint,
                       tolerance, max_iterations, iterations, converged)
 

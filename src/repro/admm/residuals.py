@@ -17,8 +17,9 @@ def _block_sqnorms(blocks: np.ndarray) -> np.ndarray:
 
 
 def relative_residuals(primal: np.ndarray, aux: np.ndarray,
-                       primal_prev: np.ndarray,
-                       dual: np.ndarray) -> tuple[float, float]:
+                       primal_prev: np.ndarray, dual: np.ndarray,
+                       totals: list[float] | None = None
+                       ) -> tuple[float, float]:
     """Return ``(r, s)``:
 
     ``r = ||H - H_tilde||_F^2 / ||H||_F^2`` — primal residual (constraint
@@ -34,6 +35,13 @@ def relative_residuals(primal: np.ndarray, aux: np.ndarray,
     blocks: ``r`` and ``s`` are then length-``n_blocks`` arrays holding
     each block's own residuals, bitwise equal to calling this function on
     every block separately.
+
+    *totals* (2-D operands only) makes this a running sum over the row
+    tiles of one matrix: the four squared norms of the tile
+    (``||H - H_tilde||^2``, ``||H||^2``, ``||H - H_prev||^2``,
+    ``||U||^2``) are added to the list of four floats, and ``(r, s)`` are
+    the ratios of the sums so far.  One tile from zeroed totals gives
+    the untiled result bitwise.
     """
     if primal.ndim == 3:
         r = (_block_sqnorms(primal - aux)
@@ -41,6 +49,11 @@ def relative_residuals(primal: np.ndarray, aux: np.ndarray,
         s = (_block_sqnorms(primal - primal_prev)
              / np.maximum(_block_sqnorms(dual), _TINY))
         return r, s
-    r = _sqnorm(primal - aux) / max(_sqnorm(primal), _TINY)
-    s = _sqnorm(primal - primal_prev) / max(_sqnorm(dual), _TINY)
-    return r, s
+    if totals is None:
+        totals = [0.0] * 4
+    totals[0] += _sqnorm(primal - aux)
+    totals[1] += _sqnorm(primal)
+    totals[2] += _sqnorm(primal - primal_prev)
+    totals[3] += _sqnorm(dual)
+    return (totals[0] / max(totals[1], _TINY),
+            totals[2] / max(totals[3], _TINY))

@@ -5,13 +5,18 @@ Solves
 ``min_H  1/2 ||X_(m) - H (KR of others)^T||_F^2 + r(H)``
 
 given the precomputed MTTKRP ``K`` and Gram ``G``.  The Cholesky factor of
-``G + rho I`` and its inverse are computed once; every inner iteration
-then costs one ``O(F^2 I)`` pass that applies the cached inverse (one
-GEMM, line 6) plus the prox and residuals — all linear passes over the
-tall matrices, which is exactly the memory-bound behaviour the blocked
-variant attacks.  The paper's line 6 is a forward/backward substitution;
-``rho = trace(G)/F`` bounds ``cond(G + rho I) <= F + 1``, so the inverse
-is as accurate (see :mod:`repro.linalg.cholesky`).
+``G + rho I`` and its inverse are computed once.  Every inner iteration
+then walks the rows in tiles of :func:`repro.admm.step.tile_rows` rows
+and finishes each tile while its operands are in L2: line 6 (one GEMM
+against the cached inverse), the prox, the dual update and the tile's
+share of the four residual sums.  The stop test (lines 10-12) runs once
+per iteration on the summed norms, so the criterion stays the paper's
+aggregate one; only the last bits of ``r`` and ``s`` depend on the
+tiling, never a row's primal or dual.  A constraint whose prox couples
+rows (``row_separable = False``) runs as one tile.  The paper's line 6
+is a forward/backward substitution; ``rho = trace(G)/F`` bounds
+``cond(G + rho I) <= F + 1``, so the inverse is as accurate (see
+:mod:`repro.linalg.cholesky`).
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from ..validation import require
 from .residuals import relative_residuals
 from .rho import RhoPolicy, TraceRho
 from .state import AdmmState
+from .step import admm_step, tile_rows
 
 
 @dataclass(frozen=True)
@@ -76,22 +82,31 @@ def admm_update(state: AdmmState, mttkrp: np.ndarray, gram: np.ndarray,
     rho = (rho_policy or TraceRho()).rho(gram)
     chol = CholeskyFactor(gram + rho * np.eye(rank))
 
-    primal, dual = state.primal, state.dual
+    rows = state.rows
+    size = tile_rows(rank) if constraint.row_separable else max(rows, 1)
+    tiles = [slice(start, min(start + size, rows))
+             for start in range(0, max(rows, 1), size)]
+    work = np.empty((min(size, rows), rank))
+    # The new primal goes to the buffer the previous one is not in; the
+    # caller's arrays are never written.
+    buffers = (np.empty((rows, rank)), np.empty((rows, rank)))
+    primal, dual = state.primal, state.dual.copy()
     iterations = 0
     r = s = float("inf")
     converged = False
     with span("admm.solve"):
         while iterations < max_iterations:
             iterations += 1
-            # Line 6: H_tilde = (K + rho (H + U)) (G + rho I)^-1.
-            aux = chol.solve_t(mttkrp + rho * (primal + dual))
-            primal_prev = primal
-            # Line 8: proximity operator with step 1/rho.
-            primal = constraint.prox(aux - dual, 1.0 / rho)
-            # Line 9: dual ascent.
-            dual = dual + primal - aux
-            # Lines 10-11.
-            r, s = relative_residuals(primal, aux, primal_prev, dual)
+            new = buffers[iterations % 2]
+            totals = [0.0] * 4
+            for tile in tiles:
+                n = tile.stop - tile.start
+                aux = admm_step(chol, constraint, rho, mttkrp[tile],
+                                primal[tile], dual[tile], work[:n], new[tile])
+                # Lines 10-11, summed over the tiles.
+                r, s = relative_residuals(new[tile], aux, primal[tile],
+                                          dual[tile], totals=totals)
+            primal = new
             if r < tolerance and s < tolerance:
                 converged = True
                 break

@@ -65,7 +65,7 @@ def fit_mu(tensor: COOTensor,
     while True:
         clock.reset()
         last_mttkrp: np.ndarray | None = None
-        with span("mu.iteration", iteration=len(trace) + 1):
+        with span("mu.iteration"):
             for mode in range(nmodes):
                 with clock.stage("other"):
                     gram = gram_cache.gram_excluding(mode)

@@ -67,7 +67,7 @@ def fit_pgd(tensor: COOTensor,
     while True:
         clock.reset()
         last_mttkrp: np.ndarray | None = None
-        with span("pgd.iteration", iteration=len(trace) + 1):
+        with span("pgd.iteration"):
             for mode in range(nmodes):
                 with clock.stage("other"):
                     gram = gram_cache.gram_excluding(mode)

@@ -63,7 +63,7 @@ def fit_als(tensor: COOTensor,
         clock.reset()
         last_mttkrp: np.ndarray | None = None
 
-        with span("als.iteration", iteration=len(trace) + 1):
+        with span("als.iteration"):
             for mode in range(nmodes):
                 with clock.stage("other"):
                     gram = gram_cache.gram_excluding(mode)

@@ -272,7 +272,7 @@ def fit_aoadmm(tensor: TensorSource,
         last_mttkrp: np.ndarray | None = None
 
         try:
-            with span("aoadmm.iteration", iteration=iteration):
+            with span("aoadmm.iteration"):
                 for mode in range(nmodes):
                     with clock.stage("other"):
                         gram = gram_cache.gram_excluding(mode)

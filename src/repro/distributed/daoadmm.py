@@ -187,7 +187,7 @@ def fit_aoadmm_distributed(tensor: COOTensor,
         jitter: list[float] = []
         last_mttkrp: np.ndarray | None = None
 
-        with span("daoadmm.iteration", iteration=iteration):
+        with span("daoadmm.iteration"):
             for mode in range(nmodes):
                 with clock.stage("other"):
                     gram = gram_cache.gram_excluding(mode)

@@ -213,7 +213,8 @@ def record_admm_report(report, mode: int, blocked: bool) -> None:
     Blocked reports contribute one histogram observation *per block* —
     the per-block inner-iteration distribution is the paper's
     non-uniform-convergence evidence (Section III-B / IV-B) — and count
-    the blocks that stopped at the iteration cap without converging.
+    the blocks that stopped at the iteration cap without converging.  A
+    full-matrix solve counts as one block.
     """
     if not is_enabled():
         return
@@ -229,6 +230,8 @@ def record_admm_report(report, mode: int, blocked: bool) -> None:
                     mode=mode).inc(report.capped_blocks)
     else:
         hist.observe(report.iterations)
+        reg.counter("admm_capped_blocks",
+                    mode=mode).inc(0 if report.converged else 1)
     reg.counter("admm_updates", mode=mode).inc()
     reg.gauge("admm_rho", mode=mode).set(report.rho)
     if report.jitter_added:

@@ -5,8 +5,9 @@ import pytest
 import scipy.optimize
 
 import repro
-import repro.admm.blocked as blocked_module
+import repro.admm.step as step_module
 from repro.admm import (
+    AdmmReport,
     AdmmState,
     BlockedAdmmReport,
     FixedRho,
@@ -17,6 +18,8 @@ from repro.admm import (
     make_rho_policy,
     relative_residuals,
 )
+from repro.admm.blocked import _groups
+from repro.admm.step import tile_rows
 from repro.config import (
     ADMM_TOLERANCE,
     DEFAULT_BLOCK_SIZE,
@@ -292,6 +295,19 @@ def _oracle_case(case, constraint, rng, rank):
     return state, mttkrp, gram, kwargs
 
 
+def _patch_groups_of_2(monkeypatch, rows, rank, block_size):
+    """Shrink the tile so that every full lockstep group holds 2 blocks."""
+    blocks = row_blocks(rows, block_size)
+    size = blocks[0].stop - blocks[0].start if blocks else block_size
+    monkeypatch.setattr(step_module, "TILE_BYTES", 2 * size * 8 * rank)
+    n_full = sum(b.stop - b.start == size for b in blocks)
+    expected = [range(first, min(first + 2, n_full))
+                for first in range(0, n_full, 2)]
+    if n_full < len(blocks):
+        expected.append(range(n_full, len(blocks)))
+    assert _groups(blocks, rank) == expected
+
+
 class TestLockstepMatchesPerBlockReference:
     """The lockstep solver is bitwise the per-block loop it replaced."""
 
@@ -304,11 +320,12 @@ class TestLockstepMatchesPerBlockReference:
     @pytest.mark.parametrize("name", sorted(ORACLE_CONSTRAINTS))
     def test_bitwise_equal_to_reference(self, monkeypatch, make_rng, name,
                                         case, groups, rank):
-        if groups == "groups-of-2":
-            monkeypatch.setattr(blocked_module, "GROUP_BLOCKS", 2)
         constraint = make_constraint(name, **ORACLE_CONSTRAINTS[name])
         state, mttkrp, gram, kwargs = _oracle_case(case, constraint,
                                                    make_rng(7), rank)
+        if groups == "groups-of-2":
+            _patch_groups_of_2(monkeypatch, state.rows, rank,
+                               kwargs["block_size"])
         expected_state = state.copy()
         expected = per_block_admm_update(expected_state, mttkrp, gram,
                                          constraint, **kwargs)
@@ -363,6 +380,86 @@ class TestLockstepMatchesPerBlockReference:
             np.zeros_like(mttkrp)), mttkrp, gram, NonNegative(),
             block_size=10, max_iterations=400)
         assert relaxed.converged and relaxed.capped_blocks == 0
+
+
+# ---------------------------------------------------------------------------
+# Full-matrix reference: the base solver as one pass per line over all rows
+# ---------------------------------------------------------------------------
+
+def full_matrix_reference(state, mttkrp, gram, constraint, rho_policy=None,
+                          tolerance=ADMM_TOLERANCE,
+                          max_iterations=MAX_ADMM_ITERATIONS):
+    """Algorithm 1 with every line over the whole matrix (the oracle)."""
+    rank = state.rank
+    rho = (rho_policy or TraceRho()).rho(gram)
+    chol = CholeskyFactor(gram + rho * np.eye(rank))
+    primal, dual = state.primal, state.dual
+    iterations = 0
+    r = s = float("inf")
+    converged = False
+    while iterations < max_iterations:
+        iterations += 1
+        aux = chol.solve_t(mttkrp + rho * (primal + dual))
+        primal_prev = primal
+        primal = constraint.prox(aux - dual, 1.0 / rho)
+        dual = dual + primal - aux
+        r, s = relative_residuals(primal, aux, primal_prev, dual)
+        if r < tolerance and s < tolerance:
+            converged = True
+            break
+    state.primal = primal
+    state.dual = dual
+    return AdmmReport(iterations=iterations, rho=rho, primal_residual=r,
+                      dual_residual=s, converged=converged,
+                      jitter_added=chol.jitter_added)
+
+
+FULL_MATRIX_CONSTRAINTS = {**ORACLE_CONSTRAINTS, "smooth": {"weight": 0.5}}
+
+
+class TestTiledMatchesFullMatrixReference:
+    """Tiling the rows changes no row's bits, only the residual sums'."""
+
+    # 5000 one-row tiles take ~8 s a case; 600 rows cover that tiling.
+    @pytest.mark.parametrize("rows, tile", [
+        pytest.param(rows, tile, id=f"{rows}-{tile}",
+                     marks=[pytest.mark.slow] if (rows, tile) == (5000, "1")
+                     else [])
+        for rows in (0, 1, 600, 5000) for tile in ("1", "7", "default")])
+    @pytest.mark.parametrize("rank", [5, 50])
+    @pytest.mark.parametrize("name", sorted(FULL_MATRIX_CONSTRAINTS))
+    def test_bitwise_equal_to_reference(self, monkeypatch, make_rng, name,
+                                        rank, rows, tile):
+        if tile != "default":
+            monkeypatch.setattr(step_module, "TILE_BYTES",
+                                int(tile) * 8 * rank)
+            assert tile_rows(rank) == int(tile)
+        constraint = make_constraint(name, **FULL_MATRIX_CONSTRAINTS[name])
+        gen = make_rng(5)
+        mttkrp, gram, _, _ = make_problem(gen, rows=rows, rank=rank)
+        state = AdmmState(np.abs(gen.standard_normal(mttkrp.shape)),
+                          0.5 * gen.standard_normal(mttkrp.shape))
+        expected_state = state.copy()
+        given = state.primal, state.dual
+        before = state.copy()
+        expected = full_matrix_reference(expected_state, mttkrp, gram,
+                                         constraint, max_iterations=12)
+        report = admm_update(state, mttkrp, gram, constraint,
+                             max_iterations=12)
+
+        np.testing.assert_array_equal(state.primal, expected_state.primal)
+        np.testing.assert_array_equal(state.dual, expected_state.dual)
+        assert (report.iterations, report.converged, report.rho,
+                report.jitter_added) == (expected.iterations,
+                                         expected.converged, expected.rho,
+                                         expected.jitter_added)
+        assert report.primal_residual == pytest.approx(
+            expected.primal_residual, rel=1e-12, abs=0.0)
+        assert report.dual_residual == pytest.approx(
+            expected.dual_residual, rel=1e-12, abs=0.0)
+        # The caller's arrays are replaced, never written.
+        np.testing.assert_array_equal(given[0], before.primal)
+        np.testing.assert_array_equal(given[1], before.dual)
 
 
 class TestAdmmState:

@@ -1,5 +1,6 @@
 """Tests for the observability substrate and the ``repro.fit`` façade."""
 
+import re
 import time
 
 import numpy as np
@@ -262,6 +263,34 @@ class TestInstrumentedRun:
         # convergence signal (paper §III-B / §IV-B).
         assert any(k.startswith("admm_inner_iterations") for k in hists)
         assert any("span=aoadmm.iteration" in k for k in hists)
+
+    def test_iteration_span_is_one_series(self):
+        """Driver spans carry no per-iteration label (bounded cardinality)."""
+        result = repro.fit(small_tensor(), rank=3, seed=0,
+                           max_outer_iterations=4, outer_tolerance=0.0,
+                           observe=True)
+        hists = result.metrics["histograms"]
+        keys = [k for k in hists if k.startswith("span_seconds{")
+                and re.search(r"span=aoadmm\.iteration[,}]", k)]
+        assert keys == [render_key("span_seconds",
+                                   {"span": "aoadmm.iteration"})]
+        assert hists[keys[0]]["count"] == 4
+
+    def test_capped_base_solves_count_as_one_block(self):
+        tensor = small_tensor()
+        result = repro.fit(tensor, rank=3, seed=0, max_outer_iterations=3,
+                           blocked=False, max_inner_iterations=2,
+                           track_block_reports=True, observe=True)
+        counters = result.metrics["counters"]
+        records = result.trace.records
+        total = 0
+        for mode in range(tensor.nmodes):
+            capped = sum(not r.block_reports[mode].converged
+                         for r in records)
+            key = render_key("admm_capped_blocks", {"mode": mode})
+            assert counters[key] == capped
+            total += capped
+        assert total > 0
 
     def test_capped_blocks_counter_matches_reports(self):
         tensor = small_tensor()
