@@ -1,17 +1,20 @@
-"""Executor sweep for the slab-tiled MTTKRP: serial vs thread vs process.
+"""Executor sweep for the slab-tiled MTTKRP: serial vs process.
 
-``BENCH_mttkrp_tiled.json`` documented the GIL wall: at 139 slabs the
-thread pool *regresses* (94.7 ms at 1 thread vs 133.6 ms at 4), because
-the slab kernels are small-op Python/NumPy scatter loops that never let
-go of the GIL.  This sweep times the same tiled MTTKRP under all three
-execution backends (``serial``, ``thread``, ``process``) at 1/2/4
-workers and records what each costs:
+The slab kernels are small-op Python/NumPy loops that never let go of
+the GIL, so threads cannot run them side by side (the thread executor
+that once sat between these two measured 0.76–0.93× serial and was
+deleted).  This benchmark times the tiled MTTKRP under the two execution
+backends and records what each costs, at two points:
 
-* per-call latency (per mode and whole-sweep means),
-* speedup over the serial baseline,
-* the process executor's fixed costs — pool spawn seconds, bytes mapped
-  into shared memory, first-call (cold) latency vs steady-state — so the
-  amortization story is visible in the artifact, not just claimed.
+* ``reddit/small`` at a fine 1024-nnz slab plan, ``serial`` vs
+  ``process`` at 1/2/4 workers: per-call latency (per mode and
+  whole-sweep means), speedup over serial, and the process executor's
+  fixed costs — pool spawn seconds, bytes mapped into shared memory,
+  first-call (cold) latency vs steady-state;
+* ``reddit/medium`` at the engine-default slab plan
+  (:data:`repro.config.DEFAULT_SLAB_NNZ`), ``serial`` vs ``process`` at
+  2 workers: the median of :data:`MEDIUM_SWEEPS` whole sweeps, run in
+  both orders, with one engine alive at a time.
 
 The JSON artifact is written to ``benchmarks/results/`` like every
 other benchmark (see ``benchmarks/README.md``); a compatibility symlink
@@ -24,12 +27,14 @@ would be measuring the wrong thing.
 from __future__ import annotations
 
 import json
+import os
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.datasets import load_dataset
 from repro.kernels import MTTKRPEngine
 from repro.parallel.executor import ProcessExecutor
 
@@ -39,12 +44,17 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 RANK = 16
 ROUNDS = 5
-#: The slab decomposition where the thread pool regressed (139 slabs).
+#: A fine slab decomposition of reddit/small (139 slabs).
 SLAB_TARGET = 1024
 #: (executor, workers) grid; serial has no worker knob.
 CONFIGS = (("serial", 1),
-           ("thread", 1), ("thread", 2), ("thread", 4),
            ("process", 1), ("process", 2), ("process", 4))
+#: The medium point: timed sweeps per engine, the process workers, and
+#: the engine order (both orders, so neither executor always runs on a
+#: warmer machine).
+MEDIUM_SWEEPS = 8
+MEDIUM_WORKERS = 2
+MEDIUM_ORDER = ("serial", "process", "process", "serial")
 
 
 def _sweep_config(tensor, factors, executor_name: str,
@@ -115,6 +125,62 @@ def executor_setup(small_datasets):
     return tensor, factors
 
 
+def _medium_sweeps(tensor, factors, executor_name: str
+                   ) -> tuple[list[float], list[np.ndarray]]:
+    """Timed whole sweeps of one engine, closed before returning."""
+    executor = (ProcessExecutor(max_workers=MEDIUM_WORKERS)
+                if executor_name == "process" else executor_name)
+    engine = MTTKRPEngine(tensor, threads=MEDIUM_WORKERS,
+                          executor=executor)
+    try:
+        # Untimed warm-up: trees, tilings, workspaces, pool spawn and
+        # shared-memory mapping all happen here.
+        outputs = [np.array(engine.mttkrp(factors, mode), copy=True)
+                   for mode in range(tensor.nmodes)]
+        seconds = []
+        for _ in range(MEDIUM_SWEEPS):
+            tick = time.perf_counter()
+            for mode in range(tensor.nmodes):
+                engine.mttkrp(factors, mode)
+            seconds.append(time.perf_counter() - tick)
+        return seconds, outputs
+    finally:
+        engine.close()
+        if isinstance(executor, ProcessExecutor):
+            executor.close()
+
+
+def _medium_point() -> dict:
+    tensor = load_dataset("reddit", "medium", seed=BENCH_SEED)[0]
+    rng = np.random.default_rng(BENCH_SEED)
+    factors = [rng.uniform(0.0, 1.0, (s, RANK)) for s in tensor.shape]
+    runs: dict[str, list[float]] = {"serial": [], "process": []}
+    reference = None
+    for name in MEDIUM_ORDER:
+        seconds, outputs = _medium_sweeps(tensor, factors, name)
+        runs[name].extend(seconds)
+        if reference is None:
+            reference = outputs
+        for base, other in zip(reference, outputs):
+            np.testing.assert_array_equal(base, other)
+    median = {name: float(np.median(s)) for name, s in runs.items()}
+    return {
+        "dataset": "reddit/medium",
+        "shape": list(tensor.shape),
+        "nnz": tensor.nnz,
+        "rank": RANK,
+        "slab_plan": "engine default",
+        "workers": MEDIUM_WORKERS,
+        "sweeps_per_engine": MEDIUM_SWEEPS,
+        "order": list(MEDIUM_ORDER),
+        "sweep_seconds": runs,
+        "median_sweep_seconds": median,
+        "process_speedup_over_serial":
+            median["serial"] / median["process"],
+        "bit_identical": True,
+    }
+
+
 def test_bench_mttkrp_executor(executor_setup, results_dir):
     tensor, factors = executor_setup
     configs: list[dict] = []
@@ -136,6 +202,8 @@ def test_bench_mttkrp_executor(executor_setup, results_dir):
 
     payload = {
         "benchmark": "mttkrp_executor",
+        "cpu_count": os.cpu_count(),
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "dataset": "reddit/small",
         "shape": list(tensor.shape),
         "nnz": tensor.nnz,
@@ -144,6 +212,7 @@ def test_bench_mttkrp_executor(executor_setup, results_dir):
         "slab_nnz_target": SLAB_TARGET,
         "bit_identical_across_executors": True,
         "configs": configs,
+        "medium": _medium_point(),
     }
     json_path = results_dir / "BENCH_mttkrp_executor.json"
     json_path.write_text(json.dumps(payload, indent=2) + "\n")
@@ -169,5 +238,17 @@ def test_bench_mttkrp_executor(executor_setup, results_dir):
             f"{cfg['speedup_over_serial']:>8.2f} "
             f"{over['pool_spawn_seconds'] * 1e3:>9.2f} "
             f"{over['shm_bytes_mapped'] / 2**20:>8.2f}")
+    medium = payload["medium"]
+    lines += ["",
+              f"reddit/medium (nnz={medium['nnz']}, rank={RANK}, "
+              f"engine-default slab plan), median of "
+              f"{2 * MEDIUM_SWEEPS} sweeps per executor",
+              f"{'executor':>9} {'workers':>8} {'sweep ms':>10} "
+              f"{'speedup':>8}"]
+    for name, workers in (("serial", 1), ("process", MEDIUM_WORKERS)):
+        sweep = medium["median_sweep_seconds"][name]
+        lines.append(
+            f"{name:>9} {workers:>8} {sweep * 1e3:>10.2f} "
+            f"{medium['median_sweep_seconds']['serial'] / sweep:>8.2f}")
     lines.append(f"[json saved to {json_path}]")
     save_artifact(results_dir, "bench_mttkrp_executor", "\n".join(lines))

@@ -143,8 +143,8 @@ def fit(tensor: "TensorSource | str | Path",
         only): a heartbeat watchdog interrupts stalled runs, transient
         faults (broken worker pools, shared-memory exhaustion,
         checkpoint I/O errors) are retried with backoff from the newest
-        valid checkpoint, execution degrades
-        ``process -> thread -> serial`` under repeated pressure, and
+        valid checkpoint, execution degrades ``process -> serial`` under
+        repeated pressure, and
         SIGTERM/SIGINT preempt gracefully (checkpoint + resumable
         ``stop_reason="preempted"``).  ``True`` uses default
         :class:`~repro.robustness.supervisor.SupervisorOptions`; pass an
@@ -155,8 +155,8 @@ def fit(tensor: "TensorSource | str | Path",
         ``blocked=False, seed=0, max_outer_iterations=50``.  Notably
         ``executor="process"`` (or ``REPRO_EXECUTOR=process`` in the
         environment) runs the MTTKRP slab kernels in a shared-memory
-        worker pool instead of threads — bit-identical results, no GIL
-        (see ``docs/parallelism.md``).
+        pool of ``threads`` worker processes instead of inline —
+        bit-identical results, no GIL (see ``docs/parallelism.md``).
     """
     require(method in METHODS,
             f"unknown method {method!r}; choose from {METHODS}")

@@ -53,18 +53,21 @@ class AOADMMOptions:
         Magnitude at or below which a factor entry counts as zero for
         sparsity analysis and compression.
     threads:
-        Thread count for the real pool used by the slab-tiled MTTKRP
-        kernels (results are bit-identical for any value; scalability is
-        studied on the machine model).
+        Worker processes for the slab-tiled MTTKRP kernels when
+        ``executor="process"`` (``None`` = ``REPRO_NUM_THREADS`` or the
+        CPU count); ignored by ``"serial"``.  Must be ``None`` or at
+        least 1.  Results are bit-identical for any value; scalability
+        is studied on the machine model.
     executor:
         Execution backend for the slab-tiled MTTKRP kernels:
-        ``"serial"``, ``"thread"``, ``"process"``, or an
+        ``"serial"``, ``"process"``, or an
         :class:`~repro.parallel.executor.ExecutorBase` instance.
         ``None`` (the default) resolves the ``REPRO_EXECUTOR``
-        environment variable, falling back to ``"thread"``.  The process
-        executor runs slab batches in a persistent shared-memory worker
-        pool, sidestepping the GIL; results are bit-identical across all
-        executors (see ``docs/parallelism.md``).
+        environment variable, falling back to ``"serial"`` (slabs run
+        inline).  The process executor runs slab batches in a
+        persistent shared-memory worker pool, sidestepping the GIL;
+        results are bit-identical across executors (see
+        ``docs/parallelism.md``).
     slab_nnz_target:
         Non-zeros per MTTKRP slab for the engine's CSF tilings
         (Section IV-A slice parallelism).  ``None`` (the default) lets
@@ -160,6 +163,8 @@ class AOADMMOptions:
         require(self.inner_tolerance > 0.0, "inner tolerance must be positive")
         require(self.outer_tolerance >= 0.0,
                 "outer tolerance must be non-negative")
+        if self.threads is not None:
+            require(self.threads >= 1, "threads must be None or at least 1")
         if self.slab_nnz_target is not None:
             require(self.slab_nnz_target >= 1,
                     "slab_nnz_target must be positive")

@@ -66,10 +66,14 @@ from ..observability import (
     record_tune_quarantine,
     span,
 )
-from ..parallel.executor import ExecutorBase, resolve_executor
+from ..parallel.executor import (
+    ExecutorBase,
+    effective_threads,
+    resolve_executor,
+    slab_workers,
+)
 from ..parallel.procpool import ProcessPoolBroken
 from ..parallel.shm import ShmArena
-from ..parallel.threadpool import effective_threads
 from ..tensor.csf import CSFTensor
 from ..tensor.tiling import CSFTiling, nnz_per_root_slice, root_prefix_tree
 from ..validation import require
@@ -558,8 +562,8 @@ class BackendAutotuner:
                         best = min(best, self.clock() - tick)
                 except ProcessPoolBroken:
                     # The probe must not kill the fit: degrade this
-                    # tuner to the thread executor and re-probe.
-                    executor = resolve_executor("thread")
+                    # tuner to the serial executor and re-probe.
+                    executor = resolve_executor("serial")
                     return self.probe_seconds(tree, candidates, mode,
                                               rank, threads=threads,
                                               executor=executor)
@@ -588,8 +592,15 @@ class BackendAutotuner:
                     threads: int | None = 1,
                     executor: "str | ExecutorBase | None" = None,
                     fingerprint: str | None = None) -> ModeDecision:
-        """Tune one mode-rooted tree; records the decision when enabled."""
+        """Tune one mode-rooted tree; records the decision when enabled.
+
+        Plans are priced for the workers that run the slabs:
+        ``threads`` of them on an executor that offloads slabs, one
+        otherwise (the serial executor loops inline).
+        """
         require(rank >= 1, "rank must be positive")
+        executor = resolve_executor(executor)
+        threads = slab_workers(executor, threads)
         candidates = candidate_backends(tree.nnz, tree.nslices, self.ladder)
         if not candidates:
             decision = ModeDecision(mode=mode, backend="csf",
@@ -617,11 +628,9 @@ class BackendAutotuner:
 
     def _decide_measured(self, tree, candidates, model, mode, rank,
                          threads, executor, fingerprint) -> ModeDecision:
-        executor_name = resolve_executor(executor).name
         key = None
         if self.cache is not None and fingerprint:
-            key = cache_key(fingerprint, mode, rank,
-                            effective_threads(threads), executor_name)
+            key = cache_key(fingerprint, mode, rank, threads, executor.name)
             entry = self.cache.get(key)
             if entry is not None:
                 return ModeDecision(
@@ -658,13 +667,14 @@ class BackendAutotuner:
                 and self.cache is not None:
             from ..robustness.checkpoint import tensor_fingerprint
             fingerprint = tensor_fingerprint(trees.tensor)["sha1"]
+        executor = resolve_executor(executor)
         decisions = tuple(
             self.decide_tree(trees.csf(mode), mode, rank, threads=threads,
                              executor=executor, fingerprint=fingerprint)
             for mode in range(trees.nmodes))
         return TuningReport(tune_mode=self.mode, rank=rank,
-                            threads=effective_threads(threads),
-                            executor=resolve_executor(executor).name,
+                            threads=slab_workers(executor, threads),
+                            executor=executor.name,
                             fingerprint=fingerprint, decisions=decisions)
 
     def tune_engine(self, engine, rank: int) -> TuningReport:

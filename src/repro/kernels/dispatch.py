@@ -31,10 +31,14 @@ from ..observability import (
     record_tiling,
     span,
 )
-from ..parallel.executor import ExecutorBase, get_executor, resolve_executor
+from ..parallel.executor import (
+    ExecutorBase,
+    get_executor,
+    resolve_executor,
+    slab_workers,
+)
 from ..parallel.procpool import ProcessPoolBroken
 from ..parallel.shm import ShmArena
-from ..parallel.threadpool import effective_threads
 from ..sparse.analysis import choose_representation, density
 from ..sparse.csr import CSRMatrix
 from ..sparse.hybrid import HybridFactor
@@ -225,11 +229,11 @@ class MTTKRPCallStats:
     bytes_allocated: int = 0
     #: Wall-clock seconds of the kernel call.
     seconds: float = 0.0
-    #: Execution backend that ran the slabs (``serial``/``thread``/
-    #: ``process``; monolithic and sparse-representation calls run
-    #: inline regardless).
-    executor: str = "thread"
-    #: Worker/thread count the call was allowed to use.
+    #: Execution backend that ran the slabs (``serial``/``process``;
+    #: monolithic and sparse-representation calls run inline
+    #: regardless).
+    executor: str = "serial"
+    #: Worker processes the call was allowed to use (1 when inline).
     workers: int = 1
 
 
@@ -254,24 +258,26 @@ class MTTKRPEngine:
         ``"one"`` keeps a single tree and serves the other modes with the
         internal/leaf kernels (SPLATT's memory-lean ONEMODE policy).
     threads:
-        Thread count for slab-parallel kernel execution (``None`` = auto
-        via ``REPRO_NUM_THREADS`` / CPU count).  Results are bit-identical
-        for any value — slabs are independent and the reductions are
+        Worker processes for slab-parallel kernel execution when the
+        executor is ``"process"`` (``None`` = auto via
+        ``REPRO_NUM_THREADS`` / CPU count); ignored by ``"serial"``.
+        Must be ``None`` or at least 1.  Results are bit-identical for
+        any value — slabs are independent and the reductions are
         deterministic.
     slab_nnz_target:
         Non-zeros per slab for the tilings (``None`` =
         :data:`repro.config.DEFAULT_SLAB_NNZ`).
     executor:
         Execution backend for the tiled kernels: ``"serial"``,
-        ``"thread"``, ``"process"``, or an
+        ``"process"``, or an
         :class:`~repro.parallel.executor.ExecutorBase` instance.
-        ``None`` resolves ``REPRO_EXECUTOR`` (default ``thread``).  The
+        ``None`` resolves ``REPRO_EXECUTOR`` (default ``serial``).  The
         process executor maps the CSF arrays and factors into shared
         memory and runs slab batches GIL-free in a persistent worker
-        pool; results stay bit-identical across all executors.  If the
+        pool; results stay bit-identical across executors.  If the
         pool breaks beyond its respawn budget mid-call, the engine
         records a :class:`~repro.robustness.guards.GuardEvent` in
-        :attr:`executor_events`, falls back to the thread executor for
+        :attr:`executor_events`, falls back to the serial executor for
         the rest of its lifetime, and recomputes the call.
 
     Notes
@@ -299,6 +305,8 @@ class MTTKRPEngine:
                 f"unknown representation policy {repr_policy!r}")
         require(csf_allocation in ("all", "one"),
                 f"unknown CSF allocation {csf_allocation!r}")
+        require(threads is None or threads >= 1,
+                f"threads must be None or at least 1, got {threads!r}")
         self.trees = AllModeCSF(tensor)
         self.csf_allocation = csf_allocation
         self.repr_policy: ReprPolicy = repr_policy
@@ -318,7 +326,7 @@ class MTTKRPEngine:
         self._arena: ShmArena | None = (
             ShmArena(tag="engine") if self._executor.offloads_slabs
             else None)
-        #: Guard events from executor failures (pool broken → thread
+        #: Guard events from executor failures (pool broken → serial
         #: fallback), in order.
         self.executor_events: list = []
         self._reps: dict[int, FactorRepresentation] = {}
@@ -357,17 +365,17 @@ class MTTKRPEngine:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _fallback_to_threads(self, exc: Exception, mode: int) -> None:
-        """Pool broke beyond repair: record the event, demote to threads."""
+    def _fallback_to_serial(self, exc: Exception, mode: int) -> None:
+        """Pool broke beyond repair: record the event, demote to serial."""
         from ..robustness.guards import GuardEvent
         event = GuardEvent(iteration=0, kind="worker_lost", site="mttkrp",
                            action="executor_fallback", mode=mode,
-                           detail=f"{self._executor.name} -> thread: "
+                           detail=f"{self._executor.name} -> serial: "
                                   f"{exc}")
         self.executor_events.append(event)
-        record_executor_fallback(self._executor.name, "thread",
+        record_executor_fallback(self._executor.name, "serial",
                                  detail=str(exc))
-        self._executor = get_executor("thread")
+        self._executor = get_executor("serial")
 
     def _run_tiled(self, csf, factors, mode: int, tiling, ws) -> np.ndarray:
         """One tiled MTTKRP, with pool-failure fallback + single retry.
@@ -381,7 +389,7 @@ class MTTKRPEngine:
                               workspace=ws, threads=self.threads,
                               executor=self._executor)
         except ProcessPoolBroken as exc:
-            self._fallback_to_threads(exc, mode)
+            self._fallback_to_serial(exc, mode)
             return mttkrp_csf(csf, factors, mode, tiling=tiling,
                               workspace=ws, threads=self.threads,
                               executor=self._executor)
@@ -502,7 +510,7 @@ class MTTKRPEngine:
                 bytes_allocated=bytes1 - bytes0,
                 seconds=time.perf_counter() - start,
                 executor=self._executor.name,
-                workers=effective_threads(self.threads))
+                workers=slab_workers(self._executor, self.threads))
             self.call_log.append(stats)
             record_mttkrp_call(
                 stats, rank=int(np.asarray(factors[0]).shape[1]))
@@ -522,7 +530,7 @@ class MTTKRPEngine:
             touched = csf.nnz * int(np.asarray(factors[0]).shape[1])
             slab_count = tiling.slab_count
             bytes_allocated = bytes1 - bytes0
-            call_executor = self._executor.name
+            call_executor = self._executor
         else:
             agg = self._aggregators.get(mode)
             if agg is None:
@@ -536,14 +544,14 @@ class MTTKRPEngine:
             slab_count = 1
             bytes_allocated = 0
             # Sparse-representation calls run inline in the parent.
-            call_executor = "serial"
+            call_executor = get_executor("serial")
         stats = MTTKRPCallStats(
             mode=mode, leaf_mode=leaf_mode, representation=rep_name,
             gathered_nnz=touched, tensor_nnz=csf.nnz,
             slab_count=slab_count, bytes_allocated=bytes_allocated,
             seconds=time.perf_counter() - start,
-            executor=call_executor,
-            workers=effective_threads(self.threads))
+            executor=call_executor.name,
+            workers=slab_workers(call_executor, self.threads))
         self.call_log.append(stats)
         record_mttkrp_call(stats, rank=int(np.asarray(factors[0]).shape[1]))
         return out
@@ -557,8 +565,10 @@ class StreamingMTTKRPEngine:
     / ``call_log`` / ``executor_events`` surface), but instead of owning
     in-core CSF trees it streams each mode's pre-sharded slabs from disk
     through an LRU :class:`~repro.tensor.ooc.SlabCache` bounded by
-    ``max_bytes_in_core``, prefetching one slab ahead through the
-    executor while the parent computes on the current one.
+    ``max_bytes_in_core``, prefetching one slab ahead on the shared
+    prefetch thread of :mod:`repro.tensor.ooc` while the parent computes
+    on the current one.  Slabs always run inline in the parent; the
+    executor only names the engine's backend in its call log.
 
     **Bit-identity.**  The store holds ALLMODE trees split at root-slice
     boundaries, so every slab is served by the root kernel: the per-slab
@@ -589,6 +599,8 @@ class StreamingMTTKRPEngine:
         require(repr_policy == "dense",
                 "the streaming (out-of-core) engine computes with dense "
                 f"factors only; got repr_policy={repr_policy!r}")
+        require(threads is None or threads >= 1,
+                f"threads must be None or at least 1, got {threads!r}")
         self.store = store
         self.repr_policy: ReprPolicy = "dense"
         self.threads = threads
@@ -600,9 +612,7 @@ class StreamingMTTKRPEngine:
         #: One residency set shared by every mode — the byte budget is a
         #: process-level promise, not a per-mode one.
         self.cache = SlabCache(max_bytes_in_core)
-        self._streamer = SlabStreamer(store, self.cache,
-                                      executor=self._executor,
-                                      prefetch=prefetch)
+        self._streamer = SlabStreamer(store, self.cache, prefetch=prefetch)
         self._rep_names: dict[int, str] = {}
         #: Pooled output buffers, one per mode (zero-allocation after
         #: warm-up, matching the in-core workspace contract: the result
@@ -680,8 +690,7 @@ class StreamingMTTKRPEngine:
             slab_count=self.store.slab_count(mode),
             bytes_allocated=allocated,
             seconds=time.perf_counter() - start,
-            executor=self._executor.name,
-            workers=effective_threads(self.threads))
+            executor=self._executor.name)
         self.call_log.append(stats)
         record_mttkrp_call(stats, rank=rank)
         return out

@@ -23,14 +23,15 @@ Each kernel has two execution paths:
   tree, allocating its temporaries per call; kept as the simple reference
   implementation and for one-off calls;
 * the **slab-tiled** path — the tree is partitioned into nnz-balanced
-  root-slice slabs (:class:`repro.tensor.tiling.CSFTiling`) executed via
-  :func:`repro.parallel.threadpool.parallel_for`, with every temporary
-  drawn from a reusable :class:`repro.kernels.workspace.KernelWorkspace`
-  (paper Section IV-A slice parallelism).  Root slabs write disjoint
-  output rows directly; leaf/internal slabs write their per-node products
-  into disjoint ranges of one shared buffer which a single deterministic
-  scatter then reduces — so results are **bit-identical** for any slab
-  count and any thread count.
+  root-slice slabs (:class:`repro.tensor.tiling.CSFTiling`), looped over
+  inline or offloaded as batches to the process executor's worker pool,
+  with every temporary drawn from a reusable
+  :class:`repro.kernels.workspace.KernelWorkspace` (paper Section IV-A
+  slice parallelism).  Root slabs write disjoint output rows directly;
+  leaf/internal slabs write their per-node products into disjoint ranges
+  of one shared buffer which a single deterministic scatter then reduces
+  — so results are **bit-identical** for any slab count and any worker
+  count.
 """
 
 from __future__ import annotations
@@ -38,8 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..observability import record_executor_batches
-from ..parallel.executor import ExecutorBase, resolve_executor
-from ..parallel.threadpool import effective_threads, parallel_for
+from ..parallel.executor import ExecutorBase, effective_threads
 from ..tensor.csf import CSFTensor
 from ..tensor.tiling import CSFSlab, CSFTiling
 from ..types import VALUE_DTYPE, FactorList
@@ -185,7 +185,7 @@ def _workspace_for(tiling: CSFTiling,
 # ----------------------------------------------------------------------
 def _offloads(executor: ExecutorBase | None,
               ws: KernelWorkspace) -> bool:
-    """True when slabs should run in pool workers instead of threads."""
+    """True when slabs should run in pool workers instead of inline."""
     return (executor is not None and executor.offloads_slabs
             and ws.arena is not None)
 
@@ -239,10 +239,10 @@ def mttkrp_csf_root(csf: CSFTensor, factors: FactorList,
                     executor: ExecutorBase | None = None) -> np.ndarray:
     """MTTKRP for the CSF's root mode (paper Algorithm 3).
 
-    With a *tiling*, slabs run in parallel and write disjoint output rows
-    (root ids are unique and ascending across slabs), so no reduction is
-    needed and the result is bit-identical for any slab/thread count —
-    and for any *executor* (thread pool or shared-memory process pool).
+    With a *tiling*, slabs write disjoint output rows (root ids are
+    unique and ascending across slabs), so no reduction is needed and
+    the result is bit-identical for any slab/worker count — and for any
+    *executor* (inline or shared-memory process pool).
     The returned array is owned by *workspace* when one is given — valid
     until the next root-mode call on the same workspace.
     """
@@ -269,11 +269,8 @@ def mttkrp_csf_root(csf: CSFTensor, factors: FactorList,
                           ("out", root_mode), rank, threads)
         return out
 
-    def run_slab(slab: CSFSlab) -> None:
-        rows = _slab_upward(slab, factors, 0, ws, rank)
-        out[slab.tree.fids[0]] = rows
-
-    parallel_for(run_slab, tiling.slabs, threads=threads)
+    for slab in tiling.slabs:
+        out[slab.tree.fids[0]] = _slab_upward(slab, factors, 0, ws, rank)
     return out
 
 
@@ -285,11 +282,11 @@ def mttkrp_csf_leaf(csf: CSFTensor, factors: FactorList,
     """MTTKRP for the CSF's deepest mode.
 
     With a *tiling*, each slab propagates its ancestor products downward
-    in parallel and writes the value-scaled leaf rows into its disjoint
-    range of one shared product buffer; a single deterministic scatter
-    (static plan, stable order, always in the calling process) then
-    reduces — bit-identical to the monolithic kernel for any
-    slab/thread count and any executor.
+    and writes the value-scaled leaf rows into its disjoint range of one
+    shared product buffer; a single deterministic scatter (static plan,
+    stable order, always in the calling process) then reduces —
+    bit-identical to the monolithic kernel for any slab/worker count and
+    any executor.
     """
     rank = _rank_of(factors)
     leaf_level = csf.nmodes - 1
@@ -315,12 +312,10 @@ def mttkrp_csf_leaf(csf: CSFTensor, factors: FactorList,
         _run_shared_slabs(executor, ws, csf, factors, "leaf", leaf_level,
                           ("prod", leaf_level), rank, threads)
     else:
-        def run_slab(slab: CSFSlab) -> None:
+        for slab in tiling.slabs:
             rows = _slab_downward(slab, factors, leaf_level, ws, rank)
             lo, hi = slab.leaf_range
             np.multiply(rows, slab.tree.vals[:, None], out=prod[lo:hi])
-
-        parallel_for(run_slab, tiling.slabs, threads=threads)
     plan = ws.scatter_plan(("scatter", leaf_level), csf.fids[leaf_level])
     return _scatter_add_static(out, prod, plan, ws, ("sct", leaf_level))
 
@@ -333,11 +328,11 @@ def mttkrp_csf_internal(csf: CSFTensor, factors: FactorList, level: int,
                         ) -> np.ndarray:
     """MTTKRP for the mode at an internal CSF *level* (0 < level < N-1).
 
-    The tiled path runs each slab's meeting upward/downward sweeps in
-    parallel (per-node products land in disjoint ranges of a shared
-    buffer, since node ranges at every level tile the tree) and finishes
-    with one deterministic scatter — bit-identical for any slab/thread
-    count and any executor.
+    The tiled path runs each slab's meeting upward/downward sweeps
+    (per-node products land in disjoint ranges of a shared buffer, since
+    node ranges at every level tile the tree) and finishes with one
+    deterministic scatter — bit-identical for any slab/worker count and
+    any executor.
     """
     require(0 < level < csf.nmodes - 1,
             f"level {level} is not internal for {csf.nmodes} modes")
@@ -362,13 +357,11 @@ def mttkrp_csf_internal(csf: CSFTensor, factors: FactorList, level: int,
         _run_shared_slabs(executor, ws, csf, factors, "internal", level,
                           ("nodeprod", level), rank, threads)
     else:
-        def run_slab(slab: CSFSlab) -> None:
+        for slab in tiling.slabs:
             upward = _slab_upward(slab, factors, level, ws, rank)
             downward = _slab_downward(slab, factors, level, ws, rank)
             lo, hi = slab.node_ranges[level]
             np.multiply(upward, downward, out=nodeprod[lo:hi])
-
-        parallel_for(run_slab, tiling.slabs, threads=threads)
     plan = ws.scatter_plan(("scatter", level), csf.fids[level])
     return _scatter_add_static(out, nodeprod, plan, ws, ("sct", level))
 

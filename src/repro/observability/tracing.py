@@ -4,11 +4,11 @@ Two timing primitives with different contracts:
 
 * :func:`span` — *observability* timing.  Monotonic
   (``time.perf_counter``), nests through a thread-local stack (each
-  ``parallel_for`` worker gets its own stack, so spans opened inside
-  worker threads aggregate safely), and lands in the active registry as
-  a ``span_seconds`` histogram labeled with the ``/``-joined span path.
-  When observability is disabled, ``span()`` returns one shared no-op
-  context manager — the near-zero fast path.
+  thread gets its own stack, so spans opened on other threads, such as
+  the slab prefetch thread, aggregate safely), and lands in the active
+  registry as a ``span_seconds`` histogram labeled with the
+  ``/``-joined span path.  When observability is disabled, ``span()``
+  returns one shared no-op context manager — the near-zero fast path.
 
 * :class:`StageClock` / :class:`Stopwatch` — *trace* timing.  The
   drivers' per-iteration records (``mttkrp_seconds`` etc.) are part of

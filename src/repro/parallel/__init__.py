@@ -4,9 +4,9 @@ Pure scheduling logic lives in :mod:`repro.parallel.schedule` — it is used
 both by the real executors and by the simulated machine, so the machine
 model schedules exactly the work distribution the real runtime would.
 
-Execution backends live in :mod:`repro.parallel.executor` (``serial`` /
-``thread`` / ``process``, selected via ``REPRO_EXECUTOR``); the process
-backend is built on :mod:`repro.parallel.shm` (shared-memory array
+Execution backends live in :mod:`repro.parallel.executor` (``serial``,
+the default, and ``process``, selected via ``REPRO_EXECUTOR``); the
+process backend is built on :mod:`repro.parallel.shm` (shared-memory array
 plane), :mod:`repro.parallel.procpool` (persistent crash-tolerant worker
 pool), and :mod:`repro.parallel.shm_worker` (slab task execution).
 """
@@ -18,7 +18,7 @@ from .executor import (
     ExecutorBase,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
+    effective_threads,
     get_executor,
     resolve_executor,
     shutdown_executors,
@@ -40,7 +40,6 @@ from .shm import (
     stale_segment_names,
     sweep_stale_segments,
 )
-from .threadpool import parallel_for, effective_threads
 
 __all__ = [
     "row_blocks",
@@ -51,14 +50,12 @@ __all__ = [
     "GuidedSchedule",
     "ScheduleOutcome",
     "run_schedule",
-    "parallel_for",
     "effective_threads",
     "DEFAULT_EXECUTOR",
     "EXECUTOR_ENV_VAR",
     "EXECUTOR_NAMES",
     "ExecutorBase",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "ProcessPool",
     "ProcessPoolBroken",

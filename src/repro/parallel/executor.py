@@ -1,31 +1,31 @@
-"""Execution backends behind the ``parallel_for`` / ``threads`` interface.
+"""Execution backends for the slab-tiled MTTKRP kernels.
 
-Three executors, selected with ``REPRO_EXECUTOR`` (or the ``executor=``
+Two executors, selected with ``REPRO_EXECUTOR`` (or the ``executor=``
 knob on :class:`~repro.kernels.dispatch.MTTKRPEngine` /
 :class:`~repro.core.options.AOADMMOptions` / ``repro.fit``):
 
-``serial``
-    Inline loops, no pool of any kind.  The baseline every other
-    executor must match bit-for-bit.
-``thread``
-    The historical :class:`ThreadPoolExecutor` path.  Helps when the
-    work releases the GIL (large BLAS calls); does **not** help the
-    slab MTTKRP kernels, whose many small NumPy ops re-take the GIL
-    between calls (see ``BENCH_mttkrp_tiled.json`` and
-    :mod:`repro.parallel.threadpool`).
+``serial`` (the default)
+    The kernels loop over their slabs inline in the calling process.
+    The baseline the process executor must match bit-for-bit.
 ``process``
-    The GIL-free path: a persistent :class:`~repro.parallel.procpool.
-    ProcessPool` executing nnz-balanced slab batches against
-    shared-memory tensors (:mod:`repro.parallel.shm`).  Closure-based
-    ``parallel_for`` calls cannot cross a process boundary, so for
-    those this executor degrades to the thread pool; the MTTKRP kernels
-    instead detect ``offloads_slabs`` and submit picklable slab-task
-    descriptors (:mod:`repro.parallel.shm_worker`).
+    The one parallel path: a persistent :class:`~repro.parallel.
+    procpool.ProcessPool` executing nnz-balanced slab batches against
+    shared-memory tensors (:mod:`repro.parallel.shm`).  The kernels
+    detect ``offloads_slabs`` and submit picklable slab-task
+    descriptors (:mod:`repro.parallel.shm_worker`); the pool has
+    ``threads`` workers (``REPRO_NUM_THREADS`` / CPU count when
+    ``None``).
+
+There is no thread executor: the slab kernels are chains of small NumPy
+calls that re-take the GIL between every one of them, so threads
+serialize on dispatch (``BENCH_mttkrp_executor.json`` and
+``docs/parallelism.md`` have the numbers).  Out-of-core slab prefetch is
+file I/O, not slab compute, and lives in :mod:`repro.tensor.ooc`.
 
 Executors resolved by *name* are process-wide singletons, so one warm
 worker pool serves every engine in the process; pass an instance for an
 isolated pool (the fault-injection tests do).  Results are bit-identical
-across all three executors and every worker count — that contract is
+across both executors and every worker count — that contract is
 enforced by the differential harness's family anchors.
 """
 
@@ -34,71 +34,66 @@ from __future__ import annotations
 import os
 import threading
 import warnings
-from typing import Callable, Iterable, Sequence, TypeVar
 
 from ..validation import require
 from .procpool import ProcessPool, ProcessPoolBroken
 from .shm import sweep_stale_segments
-from .threadpool import effective_threads, parallel_for as _thread_for
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 #: Environment variable naming the default executor.
 EXECUTOR_ENV_VAR = "REPRO_EXECUTOR"
 
 #: Executor used when neither knob nor environment chooses one.
-DEFAULT_EXECUTOR = "thread"
+DEFAULT_EXECUTOR = "serial"
 
-EXECUTOR_NAMES = ("serial", "thread", "process")
+EXECUTOR_NAMES = ("serial", "process")
+
+_THREADS_ENV_VAR = "REPRO_NUM_THREADS"
+
+#: Malformed ``REPRO_NUM_THREADS`` values already warned about (warn
+#: once per value, not once per call).
+_WARNED_THREAD_VALUES: set[str] = set()
 
 
-class _ImmediateResult:
-    """A future-shaped wrapper around an already-computed value.
+def effective_threads(requested: int | None = None) -> int:
+    """Resolve a worker count: argument, env var, then CPU count.
 
-    ``submit_one`` on executors without an async path runs the task
-    inline and hands the caller one of these, so call sites can always
-    write ``future = ex.submit_one(...); ... ; future.result()``.
+    It sizes the process executor's pool.  A malformed
+    ``REPRO_NUM_THREADS`` (non-integer, or < 1) emits a
+    ``RuntimeWarning`` once per value before falling through to the CPU
+    count.
     """
+    if requested is not None and requested > 0:
+        return int(requested)
+    env = os.environ.get(_THREADS_ENV_VAR)
+    if env:
+        try:
+            value = int(env)
+        except ValueError:
+            value = None
+        if value is not None and value > 0:
+            return value
+        if env not in _WARNED_THREAD_VALUES:
+            _WARNED_THREAD_VALUES.add(env)
+            warnings.warn(
+                f"ignoring malformed {_THREADS_ENV_VAR}={env!r} (expected "
+                f"a positive integer); falling back to the CPU count",
+                RuntimeWarning, stacklevel=2)
+    return os.cpu_count() or 1
 
-    __slots__ = ("_value", "_error")
 
-    def __init__(self, value=None, error: BaseException | None = None):
-        self._value = value
-        self._error = error
-
-    def result(self, timeout: float | None = None):
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-    def done(self) -> bool:
-        return True
+def slab_workers(executor: "ExecutorBase", threads: int | None) -> int:
+    """Workers that run *executor*'s slabs: the pool size when it
+    offloads them (:func:`effective_threads`), else 1 (inline)."""
+    return effective_threads(threads) if executor.offloads_slabs else 1
 
 
 class ExecutorBase:
-    """Common interface: a named ``parallel_for`` implementation."""
+    """A named slab runner."""
 
     name: str = "?"
     #: True when the executor can run pickled slab-task batches in
     #: worker processes (the MTTKRP offload protocol).
     offloads_slabs: bool = False
-
-    def parallel_for(self, func: Callable[[T], R], items: Sequence[T],
-                     threads: int | None = None) -> list[R]:
-        raise NotImplementedError
-
-    def submit_one(self, func: Callable[..., R], *args):
-        """Submit a single task; returns a future-like with ``result()``.
-
-        The base implementation runs inline (serial semantics).  Used
-        by the out-of-core slab streamer to prefetch the next slab's
-        disk read while the parent computes on the current one.
-        """
-        try:
-            return _ImmediateResult(func(*args))
-        except BaseException as exc:  # noqa: BLE001 - future semantics
-            return _ImmediateResult(error=exc)
 
     def close(self) -> None:
         """Release pooled resources (idempotent; no-op by default)."""
@@ -107,75 +102,18 @@ class ExecutorBase:
         return f"<{type(self).__name__} {self.name!r}>"
 
 
-class _AsyncSubmitMixin:
-    """``submit_one`` on a small lazy thread pool.
-
-    Slab prefetch is file I/O — ``np.memmap`` open plus page-in — which
-    releases the GIL, so even for the ``process`` executor a *thread* is
-    the right vehicle (array data cannot cheaply cross a process
-    boundary anyway).  The pool is created on first use and torn down in
-    :meth:`close`.
-    """
-
-    _io_pool = None
-    _io_pool_lock: threading.Lock
-
-    def submit_one(self, func, *args):
-        pool = self._io_pool
-        if pool is None:
-            with self._io_pool_lock:
-                pool = self._io_pool
-                if pool is None:
-                    from concurrent.futures import ThreadPoolExecutor
-                    pool = ThreadPoolExecutor(
-                        max_workers=2,
-                        thread_name_prefix=f"repro-{self.name}-io")
-                    self._io_pool = pool
-        try:
-            return pool.submit(func, *args)
-        except RuntimeError:
-            # Pool shut down underneath us (interpreter teardown);
-            # degrade to inline execution.
-            return ExecutorBase.submit_one(self, func, *args)
-
-    def _close_io_pool(self) -> None:
-        with self._io_pool_lock:
-            pool, self._io_pool = self._io_pool, None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-
 class SerialExecutor(ExecutorBase):
-    """Inline execution regardless of the requested thread count."""
+    """Slabs run inline in the calling process."""
 
     name = "serial"
 
-    def parallel_for(self, func, items, threads=None):
-        return [func(item) for item in list(items)]
 
-
-class ThreadExecutor(_AsyncSubmitMixin, ExecutorBase):
-    """The GIL-sharing thread pool (see :mod:`repro.parallel.threadpool`)."""
-
-    name = "thread"
-
-    def __init__(self) -> None:
-        self._io_pool_lock = threading.Lock()
-
-    def parallel_for(self, func, items, threads=None):
-        return _thread_for(func, items, threads=threads)
-
-    def close(self) -> None:
-        self._close_io_pool()
-
-
-class ProcessExecutor(_AsyncSubmitMixin, ExecutorBase):
+class ProcessExecutor(ExecutorBase):
     """Persistent process pool + shared-memory slab offload.
 
     The pool is spawned lazily on first use and kept warm for the
     executor's lifetime — fork/spawn cost never recurs on the MTTKRP
-    hot path.  ``parallel_for`` (closures) falls back to the thread
-    pool; the kernels use :meth:`submit_slab_batches`.
+    hot path.  The kernels use :meth:`submit_slab_batches`.
     """
 
     name = "process"
@@ -191,7 +129,6 @@ class ProcessExecutor(_AsyncSubmitMixin, ExecutorBase):
         self.fault_plan = fault_plan
         self._pool: ProcessPool | None = None
         self._lock = threading.Lock()
-        self._io_pool_lock = threading.Lock()
 
     def pool(self, workers: int | None = None) -> ProcessPool:
         """The warm pool, grown to at least *workers* processes."""
@@ -225,13 +162,7 @@ class ProcessExecutor(_AsyncSubmitMixin, ExecutorBase):
         return self.pool(workers or len(payloads)).submit_batch(
             fn_name, payloads)
 
-    def parallel_for(self, func, items, threads=None):
-        # Arbitrary closures cannot cross the process boundary; keep
-        # the call semantics and degrade to the thread pool.
-        return _thread_for(func, items, threads=threads)
-
     def close(self) -> None:
-        self._close_io_pool()
         with self._lock:
             if self._pool is not None:
                 self._pool.close()
@@ -251,7 +182,6 @@ def get_executor(name: str) -> ExecutorBase:
         ex = _SINGLETONS.get(name)
         if ex is None:
             ex = {"serial": SerialExecutor,
-                  "thread": ThreadExecutor,
                   "process": ProcessExecutor}[name]()
             _SINGLETONS[name] = ex
         return ex
@@ -265,13 +195,13 @@ _WARNED_ENV_VALUES: set[str] = set()
 def resolve_executor(spec: "str | ExecutorBase | None" = None
                      ) -> ExecutorBase:
     """Resolve *spec*: instance → itself; name → singleton; ``None`` →
-    ``REPRO_EXECUTOR`` or the ``thread`` default.
+    ``REPRO_EXECUTOR`` or the ``serial`` default.
 
     A malformed *explicit* name raises; a malformed **environment**
     value only warns (once per value) and falls back to the default —
     a typo in a shell profile must not turn every library call into a
     crash (mirrors the ``REPRO_NUM_THREADS`` handling in
-    :mod:`repro.parallel.threadpool`).
+    :func:`effective_threads`).
     """
     if isinstance(spec, ExecutorBase):
         return spec
@@ -292,14 +222,6 @@ def resolve_executor(spec: "str | ExecutorBase | None" = None
     return get_executor(spec)
 
 
-def parallel_for(func: Callable[[T], R], items: Iterable[T],
-                 threads: int | None = None,
-                 executor: "str | ExecutorBase | None" = None) -> list[R]:
-    """Executor-aware ``parallel_for`` (same contract as the thread one)."""
-    return resolve_executor(executor).parallel_for(func, list(items),
-                                                   threads=threads)
-
-
 def shutdown_executors() -> None:
     """Close every singleton executor (tests / leak checks)."""
     with _SINGLETON_LOCK:
@@ -314,11 +236,11 @@ __all__ = [
     "EXECUTOR_NAMES",
     "ExecutorBase",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "ProcessPoolBroken",
     "get_executor",
     "resolve_executor",
-    "parallel_for",
+    "effective_threads",
+    "slab_workers",
     "shutdown_executors",
 ]

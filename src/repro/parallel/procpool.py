@@ -15,7 +15,7 @@ all load-bearing for the MTTKRP hot path:
   a worker's sentinel fires mid-batch the pool respawns a replacement
   and resubmits exactly the unfinished tasks.  Only when the respawn
   budget is exhausted does :class:`ProcessPoolBroken` escalate — the
-  engine then falls back to the thread executor with a ``GuardEvent``.
+  engine then falls back to the serial executor with a ``GuardEvent``.
 
 Task model: ``submit_batch(fn_name, payloads)`` round-robins payloads
 over the workers and blocks until all results arrive.  ``fn_name`` is a

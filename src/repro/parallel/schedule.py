@@ -1,11 +1,8 @@
 """Loop schedules and their deterministic makespan computation.
 
-Mirrors OpenMP's ``static`` / ``dynamic`` / ``guided`` loop schedules.  The
-same logic drives two consumers:
-
-* the real thread pool (which only needs the chunking), and
-* the machine model (which replays the schedule against per-item durations
-  to compute the parallel makespan of a kernel — Figures 4 and 5).
+Mirrors OpenMP's ``static`` / ``dynamic`` / ``guided`` loop schedules for
+the machine model, which replays the schedule against per-item durations
+to compute the parallel makespan of a kernel (Figures 4 and 5).
 
 The paper uses OpenMP ``dynamic`` over blocks for blocked ADMM ("we cannot
 statically distribute blocks and instead dynamically load balance ... at

@@ -7,18 +7,18 @@ list of ``(slab_index, node_ranges)`` descriptors.  This module attaches
 the segments, rebuilds each slab as a :class:`~repro.tensor.csf.CSFTensor`
 view — *exactly* the arrays :func:`repro.tensor.tiling._make_slab`
 produces, byte for byte — and runs the **same** sweep functions the
-thread executor runs (:func:`repro.kernels.mttkrp_csf._slab_upward` /
-``_slab_downward``).  Same operands, same operation order, same dtypes
+serial executor runs inline (:func:`repro.kernels.mttkrp_csf._slab_upward`
+/ ``_slab_downward``).  Same operands, same operation order, same dtypes
 ⇒ bit-identical node values; the slabs write fully-overwritten disjoint
 ranges of the target, and the parent performs the one deterministic
 scatter.  That is the whole determinism argument, and it is what lets
-the differential harness hold thread and process executors to *bitwise*
-family anchors.
+the differential harness hold the serial and process executors to
+*bitwise* family anchors.
 
 Everything static is cached per tree (keyed by the tree group's segment
-name, which is unique per arena): attached arrays, rebased slab trees,
-per-slab scratch buffers, and expansion-index maps — so steady-state
-calls allocate nothing, mirroring the parent-side
+name, which is unique per arena, plus the tree's shape and mode order):
+attached arrays, rebased slab trees, per-slab scratch buffers, and
+expansion-index maps — so steady-state calls allocate nothing, mirroring the parent-side
 :class:`~repro.kernels.workspace.KernelWorkspace` guarantee.  Caches are
 pruned once they span more than :data:`_MAX_CACHED_TREES` trees (long
 sessions churning many engines).
@@ -118,12 +118,18 @@ class _TreeContext:
         return slab
 
 
-#: Per-tree context cache, keyed by the tree group's segment name.
-_TREES: dict[str, _TreeContext] = {}
+#: Per-tree context cache, keyed by the tree group's segment name, shape
+#: and mode order.
+_TREES: dict[tuple, _TreeContext] = {}
 
 
 def _tree_context(payload: dict) -> _TreeContext:
-    token = payload["tree"]["vals"].segment
+    # The segment alone does not identify a tree: the parent's arena
+    # shares one segment between byte-identical groups, and two trees of
+    # one tensor rooted at different one-wide modes have identical level
+    # arrays but different mode orders (so different factors per level).
+    token = (payload["tree"]["vals"].segment, tuple(payload["shape"]),
+             tuple(payload["mode_order"]))
     ctx = _TREES.get(token)
     if ctx is None:
         if len(_TREES) >= _MAX_CACHED_TREES:

@@ -58,7 +58,7 @@ class GuardEvent:
     #: Where: ``"mttkrp"``, ``"primal"``, ``"dual"``, or ``"error"``.
     site: str
     #: What happened: ``"raise"``, ``"repair"``, ``"rollback"``, or
-    #: ``"executor_fallback"`` (process pool -> thread executor).
+    #: ``"executor_fallback"`` (process pool -> serial executor).
     action: str
     #: Mode being updated when the guard fired (None for error checks).
     mode: int | None = None

@@ -26,8 +26,8 @@ transient faults
 degradation ladder
     On memory pressure or repeated pool loss the supervisor steps down
     a ladder of progressively more conservative configurations before
-    the next attempt: executor ``process -> thread -> serial``, then a
-    shrinking ``slab_nnz_target``, then kernel memoization off.  Every
+    the next attempt: executor ``process -> serial``, then a shrinking
+    ``slab_nnz_target``, then kernel memoization off.  Every
     rung changes *where and how fast* work executes, never *what* is
     computed — results stay bit-identical (the executor equivalence
     contract) — so a degraded retry still reproduces the unfaulted run
@@ -174,9 +174,8 @@ class DegradationLadder:
     Each :meth:`advance` call returns a fresh
     :class:`~repro.core.options.AOADMMOptions` one rung down, or
     ``None`` when exhausted.  Rung order: leave the process pool for
-    threads, leave threads for serial, then shrink the MTTKRP slab
-    target (halving toward :data:`MIN_SLAB_NNZ`), then switch kernel
-    memoization off.  None of these change computed values — only
+    serial, then shrink the MTTKRP slab target (halving toward
+    :data:`MIN_SLAB_NNZ`), then switch kernel memoization off.  None of these change computed values — only
     resource footprint and speed.
     """
 
@@ -196,11 +195,8 @@ class DegradationLadder:
     def advance(self) -> "AOADMMOptions | None":
         name = self._executor_name()
         if name == "process":
-            self.options = replace(self.options, executor="thread")
-            step = "executor process->thread"
-        elif name == "thread":
             self.options = replace(self.options, executor="serial")
-            step = "executor thread->serial"
+            step = "executor process->serial"
         else:
             target = self.options.slab_nnz_target or DEFAULT_SLAB_NNZ
             if target > MIN_SLAB_NNZ:

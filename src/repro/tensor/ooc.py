@@ -11,10 +11,10 @@ Two pieces, composed by
   slab's working set degrades to load-evict churn, never to a
   deadlock.
 * :class:`SlabStreamer` — in-order iteration over one mode's slabs
-  with one-slab-ahead prefetch issued through the engine's executor
-  backend (:meth:`repro.parallel.executor.ExecutorBase.submit_one`;
-  slab loading is file I/O, which releases the GIL, so thread-based
-  prefetch genuinely overlaps the parent's compute).
+  with one-slab-ahead prefetch on one lazily created prefetch thread
+  that every streamer in the process shares (slab loading is file I/O,
+  which releases the GIL, so the prefetch genuinely overlaps the
+  parent's compute).
 
 Neither piece touches values: eviction drops array references (the
 memmap pages go with them) and a reload maps the identical bytes from
@@ -29,7 +29,9 @@ when observability is enabled.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable
 
 from ..integrity import IntegrityError
@@ -38,6 +40,28 @@ from ..validation import require
 
 #: Cache keys are ``(root_mode, slab_index)`` pairs.
 SlabKey = tuple[int, int]
+
+#: The one prefetch thread all streamers share, created on first use.
+_PREFETCH_POOL: ThreadPoolExecutor | None = None
+_PREFETCH_LOCK = threading.Lock()
+
+
+def _submit_prefetch(func: Callable[..., object], *args) -> Future | None:
+    """Run ``func(*args)`` on the shared prefetch thread.
+
+    Returns ``None`` when the thread can no longer take work
+    (interpreter teardown); the streamer then loads synchronously.
+    """
+    global _PREFETCH_POOL
+    with _PREFETCH_LOCK:
+        if _PREFETCH_POOL is None:
+            _PREFETCH_POOL = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="repro-slab-prefetch")
+        pool = _PREFETCH_POOL
+    try:
+        return pool.submit(func, *args)
+    except RuntimeError:
+        return None
 
 
 class SlabCache:
@@ -142,21 +166,18 @@ class SlabCache:
 class SlabStreamer:
     """Stream one mode's slabs through a :class:`SlabCache` with prefetch.
 
-    The streamer issues the load of slab ``k+1`` through the
-    executor's :meth:`~repro.parallel.executor.ExecutorBase.submit_one`
-    before handing slab ``k`` to the kernel, so disk I/O overlaps the
-    parent's sweep.  A prefetched slab enters the cache (and its byte
-    accounting) only when consumed, in iteration order — residency
-    decisions stay deterministic regardless of I/O timing, which keeps
-    eviction traces reproducible run to run.
+    With ``prefetch`` on, the streamer issues the load of slab ``k+1``
+    on the shared prefetch thread before handing slab ``k`` to the
+    kernel, so disk I/O overlaps the parent's sweep.  A prefetched slab
+    enters the cache (and its byte accounting) only when consumed, in
+    iteration order — residency decisions stay deterministic regardless
+    of I/O timing, which keeps eviction traces reproducible run to run.
     """
 
-    def __init__(self, store, cache: SlabCache, executor=None,
-                 prefetch: bool = True):
+    def __init__(self, store, cache: SlabCache, prefetch: bool = True):
         self.store = store
         self.cache = cache
-        self.executor = executor
-        self.prefetch = bool(prefetch) and executor is not None
+        self.prefetch = bool(prefetch)
         self.prefetches = 0
 
     def _loader(self, mode: int, index: int) -> Callable[[], object]:
@@ -170,8 +191,8 @@ class SlabStreamer:
         for index in range(count):
             if pending_index == index and pending is not None:
                 # Consume the prefetch: falls back to a synchronous
-                # load if the async read failed (e.g. a torn-down
-                # prefetch pool) — the bytes are the same either way.
+                # load if the async read failed — the bytes are the
+                # same either way.
                 # An IntegrityError is NOT a prefetch hiccup: the slab
                 # itself is damaged and unrecoverable, so retrying the
                 # read synchronously would just re-detect it — re-raise
@@ -201,8 +222,8 @@ class SlabStreamer:
             pending_index = pending = None
             nxt = index + 1
             if self.prefetch and nxt < count and (mode, nxt) not in self.cache:
-                pending = self.executor.submit_one(
-                    self.store.load_slab, mode, nxt)
+                pending = _submit_prefetch(self.store.load_slab, mode, nxt)
+            if pending is not None:
                 pending_index = nxt
                 self.prefetches += 1
                 record_slab_event("prefetch", mode, nxt,

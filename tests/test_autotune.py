@@ -199,6 +199,30 @@ class TestCalibration:
         assert decision.source == "model"
         assert decision.probe_seconds == {}
 
+    def test_serial_prices_one_worker_whatever_threads(self, tree):
+        # Serial loops over slabs inline, so threads=4 buys nothing and
+        # must be priced like threads=1; only an offloading executor
+        # prices its pool's workers.
+        tuner = BackendAutotuner(mode="model", ladder=self.LADDER)
+        one = tuner.decide_tree(tree, 0, RANK, threads=1, executor="serial")
+        four = tuner.decide_tree(tree, 0, RANK, threads=4,
+                                 executor="serial")
+        assert four == one
+        pooled = tuner.decide_tree(tree, 0, RANK, threads=4,
+                                   executor="process")
+        assert pooled.model_seconds != one.model_seconds
+
+    def test_report_threads_count_real_workers(self, tensor):
+        engine = MTTKRPEngine(tensor)
+        try:
+            tuner = BackendAutotuner(mode="model", ladder=self.LADDER)
+            assert tuner.tune_trees(engine.trees, RANK, threads=4,
+                                    executor="serial").threads == 1
+            assert tuner.tune_trees(engine.trees, RANK, threads=4,
+                                    executor="process").threads == 4
+        finally:
+            engine.close()
+
     def test_model_mode_never_calls_clock(self, tree):
         clock = FakeClock([1.0])
         tuner = BackendAutotuner(mode="model", ladder=self.LADDER,
@@ -243,7 +267,7 @@ class TestTuningCache:
                 cache_key("fp", 1, 4, 1, "serial"),
                 cache_key("fp", 0, 8, 1, "serial"),
                 cache_key("fp", 0, 4, 2, "serial"),
-                cache_key("fp", 0, 4, 1, "thread")}
+                cache_key("fp", 0, 4, 1, "process")}
         assert len(keys) == 5
 
     def test_corrupt_file_quarantined_and_remeasured(self, tree, tmp_path):
@@ -297,7 +321,7 @@ class TestBitIdentity:
             mttkrp(tensor, factors, 1, method="auto"))
 
     @pytest.mark.parametrize("tune", ["off", "model", "measure"])
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_tuned_engines_match_untuned_anchor(
             self, tensor, factors, tune, executor, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_TUNE_CACHE", str(tmp_path / "c.json"))
@@ -435,6 +459,17 @@ class TestTelemetryAndCli:
         assert code == 0
         assert "tune mode=measure" in out
         assert "chosen" in out
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_cli_tune_rejects_non_positive_threads(self, tensor, tmp_path,
+                                                   threads):
+        from repro.cli import main
+        from repro.tensor.io import write_tns
+        tns = tmp_path / "t.tns"
+        write_tns(tensor, tns)
+        with pytest.raises(ValueError, match="threads"):
+            main(["tune", str(tns), "--rank", "4", "--mode", "model",
+                  "--threads", threads])
 
     def test_cli_factorize_accepts_tune_flag(self, tensor, tmp_path,
                                              capsys):

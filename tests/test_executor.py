@@ -3,11 +3,11 @@
 The contract under test (ISSUE 6 / ROADMAP "process-parallel MTTKRP"):
 
 * MTTKRP and whole fits are **bit-identical** across
-  ``{serial, thread, process}`` executors × worker counts;
+  ``{serial, process}`` executors × worker counts;
 * a SIGKILL-ed pool worker is respawned and its tasks resubmitted
   (batches are idempotent), still yielding the bit-identical result;
 * a pool broken beyond its respawn budget makes the engine fall back to
-  the thread executor with a ``GuardEvent`` — never a wrong answer;
+  the serial executor with a ``GuardEvent`` — never a wrong answer;
 * no ``repro_shm_*`` shared-memory segment outlives its arena.
 """
 
@@ -22,15 +22,15 @@ import pytest
 import repro
 from repro.core.options import AOADMMOptions
 from repro.kernels.dispatch import MTTKRPEngine
-from repro.parallel import parallel_for as thread_parallel_for
 from repro.parallel.executor import (
+    _WARNED_THREAD_VALUES,
     DEFAULT_EXECUTOR,
     EXECUTOR_ENV_VAR,
+    EXECUTOR_NAMES,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
+    effective_threads,
     get_executor,
-    parallel_for,
     resolve_executor,
 )
 from repro.parallel.procpool import (
@@ -43,11 +43,10 @@ from repro.parallel.shm import (
     ShmArena,
     active_segment_names,
 )
-from repro.parallel.threadpool import _WARNED_ENV_VALUES, effective_threads
 from repro.robustness.faults import WorkerKillPlan
-from repro.tensor import random_coo
+from repro.tensor import COOTensor, random_coo
 
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
 
 def _dev_shm_segments() -> list[str]:
@@ -103,6 +102,28 @@ class TestExecutorBitIdentity:
                 np.testing.assert_array_equal(results["serial"][m],
                                               results[name][m])
 
+    def test_trees_with_identical_arrays_keep_their_mode_order(self):
+        # Trees rooted at the two one-wide modes have byte-identical
+        # level arrays, so the arena shares one segment between them;
+        # a worker that cached the first tree's mode order for the
+        # second multiplied the wrong factor into mode 2.
+        coords = np.array([[0, 1, 2, 3, 0], [0] * 5, [0] * 5,
+                           [0, 2, 1, 2, 1]])
+        tensor = COOTensor(coords, np.arange(1.0, 6.0), (4, 1, 1, 3))
+        factors = _factors(tensor.shape, rank=3)
+        with MTTKRPEngine(tensor, slab_nnz_target=2,
+                          executor="serial") as ref_engine:
+            reference = [ref_engine.mttkrp(factors, m).copy()
+                         for m in range(tensor.nmodes)]
+        executor = ProcessExecutor(max_workers=1)
+        with MTTKRPEngine(tensor, threads=1, slab_nnz_target=2,
+                          executor=executor) as engine:
+            out = [engine.mttkrp(factors, m).copy()
+                   for m in range(tensor.nmodes)]
+        executor.close()
+        for m in range(tensor.nmodes):
+            np.testing.assert_array_equal(reference[m], out[m])
+
     def test_repeated_calls_reuse_shared_buffers(self, small_tensor):
         # Steady state: the second sweep must not map new segments.
         factors = _factors(small_tensor.shape)
@@ -128,7 +149,7 @@ class TestExecutorBitIdentity:
         assert stats.workers == 3
         engine.close()
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("executor", EXECUTORS[1:])
     def test_full_fit_bit_identical(self, small_tensor, executor):
         kwargs = dict(rank=3, seed=5, max_outer_iterations=4,
                       slab_nnz_target=16, threads=4)
@@ -146,10 +167,10 @@ class TestExecutorBitIdentity:
 
 class TestExecutorResolution:
     def test_names_resolve_to_singletons(self):
+        assert EXECUTOR_NAMES == ("serial", "process")
         assert isinstance(get_executor("serial"), SerialExecutor)
-        assert isinstance(get_executor("thread"), ThreadExecutor)
         assert isinstance(get_executor("process"), ProcessExecutor)
-        assert get_executor("thread") is get_executor("thread")
+        assert get_executor("serial") is get_executor("serial")
 
     def test_instance_resolves_to_itself(self):
         ex = SerialExecutor()
@@ -161,7 +182,8 @@ class TestExecutorResolution:
         monkeypatch.setenv(EXECUTOR_ENV_VAR, "process")
         assert resolve_executor(None).name == "process"
         monkeypatch.delenv(EXECUTOR_ENV_VAR)
-        assert resolve_executor(None).name == "thread"
+        assert resolve_executor(None).name == "serial"
+        assert DEFAULT_EXECUTOR == "serial"
 
     def test_unknown_name_rejected(self, monkeypatch):
         with pytest.raises(ValueError, match="unknown executor"):
@@ -177,48 +199,49 @@ class TestExecutorResolution:
             warnings.simplefilter("error")  # second resolve: no re-warn
             assert resolve_executor(None).name == DEFAULT_EXECUTOR
 
+    def test_thread_executor_is_gone(self, monkeypatch):
+        # An explicit "thread" is an unknown name; the same value in the
+        # environment takes the warn-once fallback to the default.
+        with pytest.raises(ValueError, match="unknown executor"):
+            get_executor("thread")
+        with pytest.raises(ValueError, match="unknown executor"):
+            AOADMMOptions(executor="thread")
+        monkeypatch.setenv(EXECUTOR_ENV_VAR, "thread")
+        with pytest.warns(RuntimeWarning, match="malformed REPRO_EXECUTOR"):
+            assert resolve_executor(None).name == "serial"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert resolve_executor(None).name == "serial"
+
     def test_options_validate_executor_name(self):
         with pytest.raises(ValueError, match="unknown executor"):
             AOADMMOptions(executor="bogus")
         assert AOADMMOptions(executor="process").executor == "process"
 
-    def test_process_parallel_for_degrades_to_threads(self):
-        # Closures cannot cross the process boundary: same semantics,
-        # thread-pool execution, and no pool gets spawned for it.
-        ex = ProcessExecutor()
-        out = ex.parallel_for(lambda x: x * x, range(7), threads=2)
-        assert out == [x * x for x in range(7)]
-        assert not ex.spawned
-        ex.close()
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_options_reject_non_positive_threads(self, threads):
+        with pytest.raises(ValueError, match="threads"):
+            AOADMMOptions(threads=threads)
+        assert AOADMMOptions(threads=None).threads is None
+        assert AOADMMOptions(threads=2).threads == 2
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_engine_rejects_non_positive_threads(self, small_tensor,
+                                                 threads):
+        with pytest.raises(ValueError, match="threads"):
+            MTTKRPEngine(small_tensor, threads=threads)
 
-# ----------------------------------------------------------------------
-# parallel_for input normalization (satellite: generators must work)
-# ----------------------------------------------------------------------
-
-class TestParallelForInputs:
-    def test_threadpool_accepts_generators(self):
-        gen = (i + 1 for i in range(8))
-        assert thread_parallel_for(lambda x: 2 * x, gen, threads=3) \
-            == [2 * (i + 1) for i in range(8)]
-
-    def test_executor_parallel_for_accepts_generators(self):
-        gen = (i * i for i in range(6))
-        assert parallel_for(lambda x: x + 1, gen, threads=2,
-                            executor="serial") \
-            == [i * i + 1 for i in range(6)]
-
-    def test_single_thread_matches_multi(self):
-        items = list(range(13))
-        one = thread_parallel_for(lambda x: x - 7, iter(items), threads=1)
-        many = thread_parallel_for(lambda x: x - 7, iter(items), threads=4)
-        assert one == many
+    def test_serial_call_log_reports_one_worker(self, small_tensor):
+        engine = MTTKRPEngine(small_tensor, threads=4, slab_nnz_target=16,
+                              executor="serial")
+        engine.mttkrp(_factors(small_tensor.shape), 0)
+        assert engine.call_log[-1].workers == 1
 
 
 class TestEffectiveThreadsWarning:
     def test_malformed_env_warns_once_per_value(self, monkeypatch):
         monkeypatch.setenv("REPRO_NUM_THREADS", "lots")
-        _WARNED_ENV_VALUES.discard("lots")
+        _WARNED_THREAD_VALUES.discard("lots")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             first = effective_threads(None)
@@ -231,7 +254,7 @@ class TestEffectiveThreadsWarning:
 
     def test_non_positive_env_warns(self, monkeypatch):
         monkeypatch.setenv("REPRO_NUM_THREADS", "0")
-        _WARNED_ENV_VALUES.discard("0")
+        _WARNED_THREAD_VALUES.discard("0")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             effective_threads(None)
@@ -323,7 +346,7 @@ class TestEngineFaultRecovery:
         assert plan.killed_pids
         executor.close()
 
-    def test_broken_pool_falls_back_to_threads(self, small_tensor):
+    def test_broken_pool_falls_back_to_serial(self, small_tensor):
         factors = _factors(small_tensor.shape)
         with MTTKRPEngine(small_tensor, threads=2, slab_nnz_target=16,
                           executor="serial") as ref_engine:
@@ -338,13 +361,14 @@ class TestEngineFaultRecovery:
                           executor=executor) as engine:
             out = [engine.mttkrp(factors, m).copy()
                    for m in range(small_tensor.nmodes)]
-            assert engine.executor_name == "thread"
+            assert engine.executor_name == "serial"
             assert len(engine.executor_events) == 1
             event = engine.executor_events[0]
             assert event.kind == "worker_lost"
             assert event.action == "executor_fallback"
+            assert "process -> serial" in event.detail
             stats = engine.call_log[0]
-            assert stats.executor == "thread"  # post-fallback truth
+            assert stats.executor == "serial"  # post-fallback truth
         for m in range(small_tensor.nmodes):
             np.testing.assert_array_equal(reference[m], out[m])
         executor.close()

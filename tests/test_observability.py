@@ -1,6 +1,7 @@
 """Tests for the observability substrate and the ``repro.fit`` façade."""
 
 import re
+import threading
 import time
 
 import numpy as np
@@ -26,7 +27,6 @@ from repro.observability.export import (
     write_jsonl,
 )
 from repro.observability.state import set_active_registry
-from repro.parallel.threadpool import parallel_for
 from repro.tensor import noisy_lowrank_coo
 
 
@@ -115,19 +115,28 @@ class TestSpans:
         assert any("span=outer" in k for k in keys)
         assert any("span=outer/inner" in k for k in keys)
 
-    def test_span_nesting_across_thread_pool(self, registry):
-        """Worker threads keep independent nesting stacks."""
-        def work(i):
-            with span("worker"):
-                with span("step"):
-                    assert current_span_path() == "worker/step"
-            return i
+    def test_span_nesting_across_threads(self, registry):
+        """Threads keep independent nesting stacks."""
+        paths = []
+        barrier = threading.Barrier(4)
 
-        results = parallel_for(work, list(range(16)), threads=4)
-        assert sorted(results) == list(range(16))
+        def work():
+            with span("worker"):
+                barrier.wait(timeout=10)  # all four stacks open at once
+                with span("step"):
+                    paths.append(current_span_path())
+
+        with span("parent"):
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert current_span_path() == "parent"
+        assert paths == ["worker/step"] * 4
         hists = registry.snapshot()["histograms"]
         key = next(k for k in hists if "span=worker/step" in k)
-        assert hists[key]["count"] == 16
+        assert hists[key]["count"] == 4
 
     def test_disabled_span_is_shared_noop(self):
         reg = MetricsRegistry(enabled=False)

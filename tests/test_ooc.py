@@ -7,6 +7,7 @@ MTTKRP result, and trace must equal the in-core run bitwise.
 
 import glob
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -74,12 +75,12 @@ class TestStreamingBitIdentity:
                 np.testing.assert_array_equal(
                     eng.mttkrp(factors, mode), expected[mode])
 
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
-    def test_matches_under_prefetch_executors(self, store, tensor,
-                                              factors, executor):
+    @pytest.mark.parametrize("prefetch", [False, True])
+    def test_matches_with_and_without_prefetch(self, store, tensor,
+                                               factors, prefetch):
         expected = _incore_mttkrp(tensor, factors)
         eng = StreamingMTTKRPEngine(store, max_bytes_in_core=8192,
-                                    executor=executor)
+                                    prefetch=prefetch)
         try:
             # Two sweeps: the second hits whatever stayed resident.
             for _ in range(2):
@@ -207,10 +208,9 @@ class TestSlabStreamer:
         indices = [slab.index for slab in streamer.iter_mode(0)]
         assert indices == list(range(store.slab_count(0)))
 
-    def test_prefetch_counts_with_executor(self, store):
-        from repro.parallel.executor import get_executor
+    def test_prefetch_counts(self, store):
         cache = SlabCache()
-        streamer = SlabStreamer(store, cache, executor=get_executor("serial"))
+        streamer = SlabStreamer(store, cache, prefetch=True)
         list(streamer.iter_mode(0))
         assert streamer.prefetches == store.slab_count(0) - 1
         # Fully resident now: a second sweep prefetches nothing.
@@ -218,10 +218,33 @@ class TestSlabStreamer:
         assert streamer.prefetches == store.slab_count(0) - 1
         assert cache.hits == store.slab_count(0)
 
-    def test_no_executor_means_no_prefetch(self, store):
-        streamer = SlabStreamer(store, SlabCache())
+    def test_prefetch_false_means_no_prefetch(self, store):
+        streamer = SlabStreamer(store, SlabCache(), prefetch=False)
         list(streamer.iter_mode(0))
         assert streamer.prefetches == 0
+
+    @pytest.mark.parametrize("prefetch", [False, True])
+    def test_prefetched_loads_run_off_the_main_thread(self, store,
+                                                      monkeypatch,
+                                                      prefetch):
+        # The overlap the streaming engine relies on: with prefetch on,
+        # every slab after the first is read on the prefetch thread.
+        loaded_on = {}
+        load = type(store).load_slab
+
+        def spy(self, mode, index):
+            loaded_on[index] = threading.current_thread()
+            return load(self, mode, index)
+
+        monkeypatch.setattr(type(store), "load_slab", spy)
+        slabs = list(SlabStreamer(store, SlabCache(),
+                                  prefetch=prefetch).iter_mode(0))
+        assert [s.index for s in slabs] == list(range(len(slabs)))
+        assert len(slabs) > 1
+        main = threading.main_thread()
+        assert loaded_on[0] is main
+        for index in range(1, len(slabs)):
+            assert (loaded_on[index] is not main) == prefetch
 
 
 # ---------------------------------------------------------------------------

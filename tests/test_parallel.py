@@ -1,7 +1,6 @@
-"""Scheduler, partitioner, and thread-pool tests."""
+"""Scheduler, partitioner, and worker-count tests."""
 
 import os
-import time
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from repro.parallel import (
     balanced_chunks,
     block_of_row,
     effective_threads,
-    parallel_for,
     row_blocks,
     run_schedule,
 )
@@ -125,41 +123,12 @@ class TestSchedules:
 
 
 class TestThreadPool:
-    def test_results_in_order(self):
-        out = parallel_for(lambda x: x * x, list(range(20)), threads=4)
-        assert out == [x * x for x in range(20)]
-
-    def test_single_thread_inline(self):
-        out = parallel_for(lambda x: x + 1, [1, 2, 3], threads=1)
-        assert out == [2, 3, 4]
-
     def test_effective_threads_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_NUM_THREADS", "7")
         assert effective_threads() == 7
         monkeypatch.setenv("REPRO_NUM_THREADS", "junk")
         assert effective_threads() >= 1
         assert effective_threads(3) == 3
-
-    def test_results_ordered_despite_timing_inversion(self):
-        # Early items sleep longest: with a pool, later items *finish*
-        # first, but results must still come back in input order.
-        def work(i):
-            time.sleep(0.02 * (5 - i))
-            return i
-        assert parallel_for(work, list(range(5)), threads=4) == \
-            list(range(5))
-
-    def test_exception_propagates_from_worker(self):
-        def boom(i):
-            if i == 3:
-                raise RuntimeError(f"worker {i} failed")
-            return i
-        with pytest.raises(RuntimeError, match="worker 3 failed"):
-            parallel_for(boom, list(range(6)), threads=4)
-
-    def test_exception_propagates_inline(self):
-        with pytest.raises(ZeroDivisionError):
-            parallel_for(lambda x: 1 // x, [1, 0], threads=1)
 
     def test_argument_overrides_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_NUM_THREADS", "7")

@@ -376,7 +376,7 @@ class TestSupervisedRecovery:
     def test_worker_kill_storm_completes_bit_identically(self, tensor,
                                                          reference):
         # A relentless SIGKILL storm breaks the pool; the engine's
-        # thread fallback (a guard event) keeps the fit going and the
+        # serial fallback (a guard event) keeps the fit going and the
         # supervisor sees a clean completion.
         executor = ProcessExecutor(max_workers=2, respawn_budget=2)
         executor.fault_plan = WorkerKillPlan(at_dispatch=2, kills=2,
@@ -399,8 +399,8 @@ class TestSupervisedRecovery:
                             slab_nnz_target=4096, threads=2)
         result, report = supervise_fit(tensor, opts, fast_supervisor())
         assert report.attempts == 3
-        assert report.degradations[0] == "executor process->thread"
-        assert report.degradations[1] == "executor thread->serial"
+        assert report.degradations[0] == "executor process->serial"
+        assert report.degradations[1] == "slab_nnz_target 4096->2048"
         assert_identical(reference, result)
 
     def test_non_transient_numerical_fault_propagates(self, tensor):
