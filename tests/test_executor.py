@@ -238,6 +238,27 @@ class TestExecutorResolution:
         assert engine.call_log[-1].workers == 1
 
 
+class TestParallelForInputs:
+    """The worker count sizes the slab loop, never the answer."""
+
+    def test_single_thread_matches_multi(self, four_mode_tensor):
+        # One pool worker against four, through the leaf and internal
+        # kernels of a four-mode tree.
+        factors = _factors(four_mode_tensor.shape)
+        results = []
+        for threads in (1, 4):
+            executor = ProcessExecutor(max_workers=threads)
+            with MTTKRPEngine(four_mode_tensor, threads=threads,
+                              slab_nnz_target=20, executor=executor,
+                              csf_allocation="one") as engine:
+                results.append([engine.mttkrp(factors, m).copy()
+                                for m in range(four_mode_tensor.nmodes)])
+                assert engine.call_log[-1].workers == threads
+            executor.close()
+        for one, many in zip(*results):
+            np.testing.assert_array_equal(one, many)
+
+
 class TestEffectiveThreadsWarning:
     def test_malformed_env_warns_once_per_value(self, monkeypatch):
         monkeypatch.setenv("REPRO_NUM_THREADS", "lots")
@@ -346,7 +367,8 @@ class TestEngineFaultRecovery:
         assert plan.killed_pids
         executor.close()
 
-    def test_broken_pool_falls_back_to_serial(self, small_tensor):
+    def test_broken_pool_falls_back_to_threads(self, small_tensor):
+        # The fallback runs the slabs in-process, on the calling thread.
         factors = _factors(small_tensor.shape)
         with MTTKRPEngine(small_tensor, threads=2, slab_nnz_target=16,
                           executor="serial") as ref_engine:

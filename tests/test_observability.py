@@ -3,6 +3,7 @@
 import re
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -115,25 +116,21 @@ class TestSpans:
         assert any("span=outer" in k for k in keys)
         assert any("span=outer/inner" in k for k in keys)
 
-    def test_span_nesting_across_threads(self, registry):
-        """Threads keep independent nesting stacks."""
-        paths = []
+    def test_span_nesting_across_thread_pool(self, registry):
+        """Pool worker threads keep independent nesting stacks."""
         barrier = threading.Barrier(4)
 
-        def work():
+        def work(i):
             with span("worker"):
                 barrier.wait(timeout=10)  # all four stacks open at once
                 with span("step"):
-                    paths.append(current_span_path())
+                    return i, current_span_path()
 
         with span("parent"):
-            threads = [threading.Thread(target=work) for _ in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(work, range(4)))
             assert current_span_path() == "parent"
-        assert paths == ["worker/step"] * 4
+        assert results == [(i, "worker/step") for i in range(4)]
         hists = registry.snapshot()["histograms"]
         key = next(k for k in hists if "span=worker/step" in k)
         assert hists[key]["count"] == 4

@@ -30,6 +30,7 @@ from repro.tensor import (
     open_tensor,
     random_coo,
 )
+from repro.tensor import ooc
 from repro.tensor.random import random_factors
 
 RANK = 4
@@ -75,9 +76,12 @@ class TestStreamingBitIdentity:
                 np.testing.assert_array_equal(
                     eng.mttkrp(factors, mode), expected[mode])
 
-    @pytest.mark.parametrize("prefetch", [False, True])
-    def test_matches_with_and_without_prefetch(self, store, tensor,
-                                               factors, prefetch):
+    # Who reads the slabs: the calling thread alone ("serial") or, one
+    # slab ahead, the shared prefetch thread ("thread").
+    @pytest.mark.parametrize("prefetch", [False, True],
+                             ids=["serial", "thread"])
+    def test_matches_under_prefetch_executors(self, store, tensor,
+                                              factors, prefetch):
         expected = _incore_mttkrp(tensor, factors)
         eng = StreamingMTTKRPEngine(store, max_bytes_in_core=8192,
                                     prefetch=prefetch)
@@ -208,7 +212,7 @@ class TestSlabStreamer:
         indices = [slab.index for slab in streamer.iter_mode(0)]
         assert indices == list(range(store.slab_count(0)))
 
-    def test_prefetch_counts(self, store):
+    def test_prefetch_counts_with_executor(self, store):
         cache = SlabCache()
         streamer = SlabStreamer(store, cache, prefetch=True)
         list(streamer.iter_mode(0))
@@ -222,6 +226,17 @@ class TestSlabStreamer:
         streamer = SlabStreamer(store, SlabCache(), prefetch=False)
         list(streamer.iter_mode(0))
         assert streamer.prefetches == 0
+
+    def test_no_executor_means_no_prefetch(self, store, monkeypatch):
+        # A prefetch thread that takes no more work (interpreter
+        # teardown) counts no prefetch; every slab loads synchronously.
+        monkeypatch.setattr(ooc, "_submit_prefetch", lambda *args: None)
+        cache = SlabCache()
+        streamer = SlabStreamer(store, cache, prefetch=True)
+        indices = [slab.index for slab in streamer.iter_mode(0)]
+        assert indices == list(range(store.slab_count(0)))
+        assert streamer.prefetches == 0
+        assert cache.loads == store.slab_count(0)
 
     @pytest.mark.parametrize("prefetch", [False, True])
     def test_prefetched_loads_run_off_the_main_thread(self, store,

@@ -1,6 +1,8 @@
-"""Scheduler, partitioner, and worker-count tests."""
+"""Scheduler, partitioner, worker-count and prefetch-thread tests."""
 
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +17,35 @@ from repro.parallel import (
     row_blocks,
     run_schedule,
 )
+from repro.integrity import IntegrityError
+from repro.tensor import SlabCache, SlabStreamer
+
+
+class _FakeStore:
+    """A slab store whose slab ``i`` of any mode is ``load(i)``; it
+    records how often, and on which thread, each slab was read."""
+
+    def __init__(self, count, load):
+        self.count = count
+        self.load = load
+        self.loaded_on = {}
+        self.attempts = {}
+
+    def slab_count(self, mode):
+        return self.count
+
+    def slab_nbytes(self, mode, index):
+        return 8
+
+    def load_slab(self, mode, index):
+        self.loaded_on[index] = threading.current_thread()
+        self.attempts[index] = self.attempts.get(index, 0) + 1
+        return self.load(index)
+
+
+def _stream(store, prefetch):
+    streamer = SlabStreamer(store, SlabCache(), prefetch=prefetch)
+    return list(streamer.iter_mode(0))
 
 
 class TestRowBlocks:
@@ -123,6 +154,56 @@ class TestSchedules:
 
 
 class TestThreadPool:
+    """The one thread pool: the out-of-core streamer's shared prefetch
+    thread (slab reads), plus the worker count that sizes the process
+    pool."""
+
+    def test_results_in_order(self):
+        store = _FakeStore(20, lambda i: i * i)
+        assert _stream(store, prefetch=True) == [i * i for i in range(20)]
+        main = threading.main_thread()
+        assert all(store.loaded_on[i] is not main for i in range(1, 20))
+
+    def test_single_thread_inline(self):
+        store = _FakeStore(3, lambda i: i + 1)
+        assert _stream(store, prefetch=False) == [1, 2, 3]
+        assert set(store.loaded_on.values()) == {threading.main_thread()}
+
+    def test_results_ordered_despite_timing_inversion(self):
+        # Early slabs read slowest: the consumer must wait for each
+        # prefetched slab, never skip ahead of it.
+        def load(i):
+            time.sleep(0.02 * (5 - i))
+            return i
+        assert _stream(_FakeStore(5, load), prefetch=True) == list(range(5))
+
+    def test_exception_propagates_from_worker(self):
+        # A failed prefetch is retried synchronously; a slab that fails
+        # there too raises to the consumer.  A damaged slab is not
+        # retried: its IntegrityError from the prefetch thread surfaces.
+        def boom(i):
+            if i == 3:
+                raise RuntimeError(f"worker {i} failed")
+            return i
+        store = _FakeStore(6, boom)
+        with pytest.raises(RuntimeError, match="worker 3 failed"):
+            _stream(store, prefetch=True)
+        assert store.attempts[3] == 2
+
+        def damaged(i):
+            if i == 3:
+                raise IntegrityError(f"slab {i} damaged")
+            return i
+        store = _FakeStore(6, damaged)
+        with pytest.raises(IntegrityError, match="slab 3 damaged"):
+            _stream(store, prefetch=True)
+        assert store.attempts[3] == 1
+        assert store.loaded_on[3] is not threading.main_thread()
+
+    def test_exception_propagates_inline(self):
+        with pytest.raises(ZeroDivisionError):
+            _stream(_FakeStore(2, lambda i: 1 // (1 - i)), prefetch=False)
+
     def test_effective_threads_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_NUM_THREADS", "7")
         assert effective_threads() == 7
